@@ -14,9 +14,8 @@
 //! `DIR/<experiment>.manifest.json` (scale, git revision, wall-clock,
 //! row count) so every results directory is self-describing;
 //! `--bench-json PATH` records the per-experiment and total wall-clock
-//! together with the worker-thread count (see `BFDN_THREADS`) and the
-//! intra-round budget (see `BFDN_ROUND_THREADS`) for before/after
-//! performance comparisons. Any other `-` flag is an error.
+//! together with the worker-thread count (see `BFDN_THREADS`) for
+//! before/after performance comparisons. Any other `-` flag is an error.
 //!
 //! Each experiment parallelizes its independent configurations
 //! internally (`bfdn_bench::parallel`); tables and CSVs keep the
@@ -50,7 +49,6 @@ fn write_manifest(id: &str, scale: Scale, elapsed: Duration, rows: u64, dir: &Pa
     );
     m.metric("csv_rows", rows);
     m.metric("threads", parallel::num_threads() as u64);
-    m.metric("round_threads", parallel::round_threads() as u64);
     let path = dir.join(format!("{id}.manifest.json"));
     if let Err(e) = m.write(&path) {
         eprintln!("failed to write {}: {e}", path.display());
@@ -126,10 +124,6 @@ impl BenchReport {
             format!("{:?}", self.scale).to_lowercase()
         ));
         out.push_str(&format!("  \"threads\": {},\n", parallel::num_threads()));
-        out.push_str(&format!(
-            "  \"round_threads\": {},\n",
-            parallel::round_threads()
-        ));
         out.push_str(&format!(
             "  \"total_wall_clock_ms\": {},\n",
             self.total.as_millis()

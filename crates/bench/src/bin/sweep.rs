@@ -7,8 +7,7 @@
 //!
 //! `--huge` appends the million-node single-instance requests to the
 //! grid (see `EXPERIMENTS.md` §Huge scale) — through `--via-service`
-//! each one is served as a single request the daemon parallelizes
-//! internally via its `--round-threads` budget.
+//! each one is served as a single request on one daemon worker.
 //!
 //! `--via-cluster` routes the grid through a shard cluster instead of a
 //! single daemon: specs split by home shard on the consistent-hash

@@ -26,8 +26,7 @@ pub use bfdn_service::parallel;
 /// couple of seconds (CI), `full` is the laptop-scale configuration the
 /// committed `EXPERIMENTS.md` numbers come from, and `huge` extends the
 /// bound-checking sweeps (E1, E12) to million-node instances with `k` up
-/// to 4096 — the regime intra-round sharding (`BFDN_ROUND_THREADS`)
-/// exists for. Experiments without a huge-specific configuration run
+/// to 4096. Experiments without a huge-specific configuration run
 /// their full-scale one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {

@@ -40,10 +40,9 @@ pub fn standard_specs(scale: Scale) -> Vec<ExploreSpec> {
 /// The million-node requests the huge sweep adds: single instances near
 /// the top of the daemon's validation envelope (n = 10⁶ against the
 /// 2·10⁶ cap), on the shallow families where that size is tractable.
-/// Routed through `--via-service` this is the "one giant request"
-/// configuration intra-round sharding exists for — the daemon's
-/// per-request `round_threads` budget parallelizes each of these
-/// internally while its bound checker re-verifies the Theorem 1 margin.
+/// Routed through `--via-service` each is one giant request, run on a
+/// single daemon worker while its bound checker re-verifies the
+/// Theorem 1 margin.
 pub fn huge_specs() -> Vec<ExploreSpec> {
     vec![
         ExploreSpec::new("bfdn", "random-recursive", 1_000_000, 1024, 0),

@@ -1,41 +1,12 @@
 //! Algorithm 1: Breadth-First Depth-Next in the complete-communication
 //! model, plus the break-down-robust variant of Section 4.2 and the
 //! configurable ablation variants benchmarked by the workspace.
-//!
-//! # Intra-round sharding
-//!
-//! Within a round, robots act independently given the shared view
-//! (Section 2's synchronous model), so selection decomposes into a
-//! parallel map over robot index ranges plus a sequential merge of the
-//! order-dependent state. [`Bfdn`] exploits that when built with a
-//! round-thread budget > 1 ([`BfdnBuilder::round_threads`], defaulting
-//! to the `BFDN_ROUND_THREADS` environment knob):
-//!
-//! 1. **Phase A** (parallel, [`parallel::par_shards_mut`]): each shard
-//!    reconciles its robots' scripted walks and resolves every decision
-//!    that depends only on that robot's own state — walk pops, blocked
-//!    robots — into an index-stable slot per robot.
-//! 2. **Gather** (parallel): for each distinct node where some robot
-//!    needs a depth-next edge, the dangling-port prefix is scanned once
-//!    instead of once per robot.
-//! 3. **Merge** (sequential, in selection order): reanchors (which
-//!    mutate the shared load table, the RNG, and the event stream) and
-//!    depth-next claims (which race per node) are applied in exactly
-//!    the order the sequential loop would, so traces, metrics, and
-//!    event streams are byte-identical at any thread count.
-//! 4. **Phase C** (parallel): the `BF` descents the merge committed to
-//!    are materialised per robot — path construction is pure given the
-//!    chosen anchor.
-//!
-//! With a budget of 1 the original sequential loop runs unchanged; the
-//! `flat_differential` suite pins the two paths to identical traces.
 
 use bfdn_obs::{Event, EventSink, NullSink};
-use bfdn_sim::{parallel, Explorer, Move, RoundContext};
+use bfdn_sim::{Explorer, Move, RoundContext};
 use bfdn_trees::{NodeId, PartialTree, Port};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// How `Reanchor` picks among the minimum-depth open nodes.
 ///
@@ -84,8 +55,7 @@ impl Step {
     }
 }
 
-/// Per-robot state, consolidated so the round loop can hand each shard
-/// a disjoint `&mut [Robot]` window.
+/// Per-robot state: anchor, scripted walk and last committed hop.
 #[derive(Clone, Debug)]
 struct Robot {
     /// Current anchor `v_i`.
@@ -98,24 +68,6 @@ struct Robot {
     /// (Remark 8, [`Simulator::run_post`](bfdn_sim::Simulator::run_post))
     /// cancels a move after selection.
     last_intent: Option<(NodeId, Step)>,
-}
-
-/// Phase A's index-stable per-robot fill slot: everything a robot can
-/// decide from its own state alone, or the order-dependent step it
-/// defers to the merge.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    /// Blocked by the adversary (robust variant): takes no part in
-    /// selection this round.
-    Skip,
-    /// Fully resolved in phase A (a scripted walk hop).
-    Resolved(Move),
-    /// Walk exhausted at this node: needs a depth-next claim, which
-    /// races with other robots here and resolves in merge order.
-    Dn(NodeId),
-    /// At the root with an empty walk: needs `Reanchor`, which mutates
-    /// the shared load table and resolves in merge order.
-    Reanchor,
 }
 
 /// Configures a [`Bfdn`] variant.
@@ -137,7 +89,6 @@ pub struct BfdnBuilder {
     order: SelectionOrder,
     shortcut: bool,
     robust: bool,
-    round_threads: Option<usize>,
 }
 
 impl BfdnBuilder {
@@ -171,17 +122,6 @@ impl BfdnBuilder {
         self
     }
 
-    /// Sets the intra-round thread budget (clamped to at least 1). With
-    /// a budget of 1 the round loop is the paper's sequential `for i =
-    /// 1 to k`; with more, the loop shards over robot index ranges and
-    /// merges deterministically — same moves, traces, and metrics at
-    /// any budget. Defaults to the `BFDN_ROUND_THREADS` environment
-    /// knob ([`parallel::round_threads`], itself defaulting to 1).
-    pub fn round_threads(mut self, threads: usize) -> Self {
-        self.round_threads = Some(threads.max(1));
-        self
-    }
-
     /// Builds the explorer.
     pub fn build(self) -> Bfdn {
         let rng = match self.rule {
@@ -210,7 +150,6 @@ impl BfdnBuilder {
             respect_allowed: self.robust,
             rng,
             rr_counter: 0,
-            threads: self.round_threads.unwrap_or_else(parallel::round_threads),
         }
     }
 }
@@ -251,8 +190,7 @@ impl BfdnBuilder {
 #[derive(Clone, Debug)]
 pub struct Bfdn {
     k: usize,
-    /// Per-robot state (anchor `v_i`, scripted walk, committed hop),
-    /// kept in one vector so round sharding hands out disjoint windows.
+    /// Per-robot state (anchor `v_i`, scripted walk, committed hop).
     robots: Vec<Robot>,
     /// `n_v`: number of robots currently anchored at each node, indexed
     /// by the dense [`NodeId`] arena index (grown to the tree's capacity
@@ -274,8 +212,6 @@ pub struct Bfdn {
     respect_allowed: bool,
     rng: Option<StdRng>,
     rr_counter: usize,
-    /// Intra-round thread budget; 1 = the sequential selection loop.
-    threads: usize,
 }
 
 impl Bfdn {
@@ -314,7 +250,6 @@ impl Bfdn {
             order: SelectionOrder::default(),
             shortcut: false,
             robust: false,
-            round_threads: None,
         }
     }
 
@@ -339,11 +274,6 @@ impl Bfdn {
     /// Current anchor of robot `i`.
     pub fn anchor(&self, i: usize) -> NodeId {
         self.robots[i].anchor
-    }
-
-    /// The intra-round thread budget this explorer was built with.
-    pub fn round_threads(&self) -> usize {
-        self.threads
     }
 
     /// Picks among the minimum-depth open candidates per the configured
@@ -479,43 +409,35 @@ impl Bfdn {
         claims[pos.index()] = c + 1;
         Some(Move::Down(port))
     }
+}
 
-    /// [`Self::dn`] against the pre-gathered dangling-port prefixes:
-    /// the `c`-th dangling port comes from the gather when the prefix
-    /// covers it, from a direct scan otherwise (a prefix shorter than
-    /// its request cap means the iterator was exhausted — definitively
-    /// no port). Claim bookkeeping is identical, so interleaving
-    /// gathered and direct claims at one node stays consistent.
-    fn dn_gathered(
-        pos: NodeId,
-        tree: &PartialTree,
-        gathered: &HashMap<NodeId, (usize, Vec<Port>)>,
-        claims: &mut [u32],
-        claimed: &mut Vec<NodeId>,
-    ) -> Option<Move> {
-        let c = claims[pos.index()] as usize;
-        let port = match gathered.get(&pos) {
-            Some((_, ports)) if c < ports.len() => Some(ports[c]),
-            Some((cap, ports)) if ports.len() < *cap => None,
-            _ => tree.dangling_ports(pos).nth(c),
-        }?;
-        if c == 0 {
-            claimed.push(pos);
-        }
-        claims[pos.index()] = (c + 1) as u32;
-        Some(Move::Down(port))
+impl Explorer for Bfdn {
+    fn select_moves(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
+        self.select_moves_observed(ctx, out, &mut NullSink);
     }
 
-    /// The paper's sequential selection loop (`for i = 1 to k`), run
-    /// when the round-thread budget is 1. The sharded path below must
-    /// replay these decisions byte-for-byte.
-    fn select_sequential(
+    fn select_moves_observed(
         &mut self,
         ctx: &RoundContext<'_>,
         out: &mut [Move],
         sink: &mut dyn EventSink,
-        start: usize,
     ) {
+        debug_assert_eq!(ctx.k(), self.k, "robot count changed mid-run");
+        // Size the dense per-node tables once; the arena capacity is
+        // fixed for the lifetime of a run.
+        let cap = ctx.tree.capacity();
+        if self.loads.len() < cap {
+            self.loads.resize(cap, 0);
+        }
+        if self.dn_claims.len() < cap {
+            self.dn_claims.resize(cap, 0);
+        }
+        let start = match self.order {
+            SelectionOrder::Fixed => 0,
+            SelectionOrder::Rotating => (ctx.round as usize) % self.k,
+        };
+        // Re-queue last round's committed hop wherever a post-selection
+        // adversary cancelled it (the robot is still where it chose).
         for i in 0..self.k {
             if let Some((from, step)) = self.robots[i].last_intent.take() {
                 if ctx.positions[i] == from {
@@ -523,6 +445,7 @@ impl Bfdn {
                 }
             }
         }
+        // Algorithm 1's `for i = 1 to k`.
         for idx in 0..self.k {
             let i = (start + idx) % self.k;
             if self.respect_allowed && !ctx.allowed[i] {
@@ -556,187 +479,6 @@ impl Bfdn {
                     None => Move::Up,
                 },
             };
-        }
-    }
-
-    /// The sharded round loop: parallel per-robot resolution into
-    /// index-stable slots, a parallel dangling-port gather, a
-    /// sequential merge in selection order, and a parallel descent
-    /// build for the anchors the merge committed to. Equivalent to
-    /// [`Self::select_sequential`] decision for decision — the
-    /// order-dependent state (loads, RNG, claim counters, the event
-    /// stream) is only ever touched from the merge.
-    fn select_sharded(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        out: &mut [Move],
-        sink: &mut dyn EventSink,
-        start: usize,
-    ) {
-        let tree = ctx.tree;
-        let positions = ctx.positions;
-        let allowed = ctx.allowed;
-        let respect_allowed = self.respect_allowed;
-        let shortcut = self.shortcut;
-        // Phase A: reconcile last round's committed hops and resolve
-        // everything robot-local. Shards are contiguous robot windows;
-        // concatenating per-shard slot vectors in shard order yields
-        // one slot per robot, in robot order.
-        let slots: Vec<Slot> =
-            parallel::par_shards_mut(&mut self.robots, self.threads, |first, shard| {
-                let mut slots = Vec::with_capacity(shard.len());
-                for (offset, robot) in shard.iter_mut().enumerate() {
-                    let i = first + offset;
-                    if let Some((from, step)) = robot.last_intent.take() {
-                        if positions[i] == from {
-                            robot.walk.push(step);
-                        }
-                    }
-                    if respect_allowed && !allowed[i] {
-                        slots.push(Slot::Skip);
-                        continue;
-                    }
-                    let pos = positions[i];
-                    if robot.walk.is_empty() && !shortcut && pos.is_root() {
-                        slots.push(Slot::Reanchor);
-                        continue;
-                    }
-                    slots.push(match robot.walk.pop() {
-                        Some(step) => {
-                            robot.last_intent = Some((pos, step));
-                            Slot::Resolved(step.as_move())
-                        }
-                        None => Slot::Dn(pos),
-                    });
-                }
-                slots
-            })
-            .concat();
-        // Gather: scan each contested node's dangling-port prefix once,
-        // in parallel, instead of once per robot in the merge. The cap
-        // is the number of robots contending there — claims cannot
-        // outrun it.
-        let mut caps: HashMap<NodeId, usize> = HashMap::new();
-        for slot in &slots {
-            if let Slot::Dn(pos) = slot {
-                *caps.entry(*pos).or_insert(0) += 1;
-            }
-        }
-        let mut wanted: Vec<(NodeId, usize)> = caps.into_iter().collect();
-        wanted.sort_unstable_by_key(|&(v, _)| v.index());
-        let lists = parallel::par_map_with_threads(&wanted, self.threads, |&(v, cap)| {
-            tree.dangling_ports(v).take(cap).collect::<Vec<Port>>()
-        });
-        let gathered: HashMap<NodeId, (usize, Vec<Port>)> = wanted
-            .into_iter()
-            .zip(lists)
-            .map(|((v, cap), ports)| (v, (cap, ports)))
-            .collect();
-        // Merge: walk the slots in selection order, applying the
-        // order-dependent effects exactly as the sequential loop would.
-        let mut pending_descents: Vec<(usize, NodeId)> = Vec::new();
-        for idx in 0..self.k {
-            let i = (start + idx) % self.k;
-            match slots[i] {
-                Slot::Skip => {}
-                Slot::Resolved(mv) => out[i] = mv,
-                Slot::Reanchor => {
-                    let anchor = self.reanchor(i, tree, sink);
-                    if anchor.is_root() {
-                        // Empty descent: the sequential loop falls
-                        // through to `DN` at the root this round.
-                        out[i] = match Self::dn_gathered(
-                            NodeId::ROOT,
-                            tree,
-                            &gathered,
-                            &mut self.dn_claims,
-                            &mut self.dn_claimed,
-                        ) {
-                            Some(mv) => mv,
-                            None => Move::Up,
-                        };
-                    } else {
-                        // The descent is pure in (tree, anchor): defer
-                        // the O(depth) build to the parallel phase C.
-                        pending_descents.push((i, anchor));
-                    }
-                }
-                Slot::Dn(pos) => {
-                    out[i] = match Self::dn_gathered(
-                        pos,
-                        tree,
-                        &gathered,
-                        &mut self.dn_claims,
-                        &mut self.dn_claimed,
-                    ) {
-                        Some(mv) => mv,
-                        None if shortcut && (pos == self.robots[i].anchor || pos.is_root()) => {
-                            let anchor = self.reanchor(i, tree, sink);
-                            self.robots[i].walk = Self::lca_walk(tree, pos, anchor);
-                            match self.robots[i].walk.pop() {
-                                Some(step) => {
-                                    self.robots[i].last_intent = Some((pos, step));
-                                    step.as_move()
-                                }
-                                None => Move::Stay, // anchored where it stands
-                            }
-                        }
-                        None => Move::Up,
-                    };
-                }
-            }
-        }
-        // Phase C: materialise the committed descents in parallel; the
-        // first hop each reanchored robot takes is the walk's tail.
-        if !pending_descents.is_empty() {
-            let walks =
-                parallel::par_map_with_threads(&pending_descents, self.threads, |&(_, anchor)| {
-                    Self::descent(tree, anchor)
-                });
-            for (&(i, _), mut walk) in pending_descents.iter().zip(walks) {
-                let step = walk
-                    .pop()
-                    .expect("a non-root anchor has a non-empty descent");
-                let robot = &mut self.robots[i];
-                robot.walk = walk;
-                robot.last_intent = Some((positions[i], step));
-                out[i] = step.as_move();
-            }
-        }
-    }
-}
-
-impl Explorer for Bfdn {
-    fn select_moves(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
-        self.select_moves_observed(ctx, out, &mut NullSink);
-    }
-
-    fn select_moves_observed(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        out: &mut [Move],
-        sink: &mut dyn EventSink,
-    ) {
-        debug_assert_eq!(ctx.k(), self.k, "robot count changed mid-run");
-        // Size the dense per-node tables once; the arena capacity is
-        // fixed for the lifetime of a run.
-        let cap = ctx.tree.capacity();
-        if self.loads.len() < cap {
-            self.loads.resize(cap, 0);
-        }
-        if self.dn_claims.len() < cap {
-            self.dn_claims.resize(cap, 0);
-        }
-        let start = match self.order {
-            SelectionOrder::Fixed => 0,
-            SelectionOrder::Rotating => (ctx.round as usize) % self.k,
-        };
-        // Sharding only pays for itself with enough robots per shard;
-        // below that, take the sequential loop verbatim.
-        if self.threads > 1 && self.k >= 2 * self.threads {
-            self.select_sharded(ctx, out, sink, start);
-        } else {
-            self.select_sequential(ctx, out, sink, start);
         }
         // Reset the round-local claim counters without touching the rest
         // of the (mostly zero) table.

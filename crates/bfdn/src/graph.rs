@@ -21,23 +21,10 @@
 //! the fog of war is maintained in the `Known` structure below, and every
 //! decision reads only `Known` plus the current robot's own distance —
 //! exactly the information the model grants.
-//!
-//! # Intra-round sharding
-//!
-//! Like [`crate::Bfdn`], the selection phase can shard its per-robot
-//! loop across threads ([`GraphBfdn::explore_with_threads`]): a parallel
-//! phase resolves robot-local decisions (backtrack hops, BF-stack pops)
-//! into index-stable slots, unknown-port prefixes are gathered in
-//! parallel from the immutable fog of war, and a sequential merge
-//! replays the order-dependent reanchors (load scans) and DN claims in
-//! robot order — outcomes are identical to the sequential loop at any
-//! thread count. The probe-resolution phase mutates `Known` and stays
-//! sequential.
 
 use crate::bounds::proposition9_bound;
-use bfdn_sim::parallel;
 use bfdn_trees::{Graph, NodeId, Port};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// What the team knows about one port of an explored node.
@@ -266,27 +253,6 @@ impl GraphBfdn {
     ///
     /// Panics if `k == 0`.
     pub fn explore(graph: &Graph, origin: NodeId, k: usize) -> Result<GraphOutcome, GraphError> {
-        Self::explore_with_threads(graph, origin, k, parallel::round_threads())
-    }
-
-    /// [`Self::explore`] with an explicit intra-round thread budget
-    /// (instead of the `BFDN_ROUND_THREADS` default). `threads == 1`, or
-    /// any `k < 2 * threads`, runs the sequential selection loop; the
-    /// outcome is identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::explore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn explore_with_threads(
-        graph: &Graph,
-        origin: NodeId,
-        k: usize,
-        threads: usize,
-    ) -> Result<GraphOutcome, GraphError> {
         assert!(k >= 1, "need at least one robot");
         let dist_table = graph.bfs_distances(origin);
         if dist_table.iter().any(Option::is_none) {
@@ -302,7 +268,6 @@ impl GraphBfdn {
             graph,
             origin,
             k,
-            threads: threads.max(1),
             known: Known::new(graph, origin),
             positions: vec![origin; k],
             states: vec![RState::Dn; k],
@@ -328,11 +293,7 @@ impl GraphBfdn {
             }
             // Selection phase (as in Algorithm 1).
             moves.iter_mut().for_each(|m| *m = None);
-            if run.threads > 1 && k >= 2 * run.threads {
-                run.select_sharded(&mut moves);
-            } else {
-                run.select_sequential(&mut moves);
-            }
+            run.select(&mut moves);
             for v in run.claimed.drain(..) {
                 run.claims[v.index()] = 0;
             }
@@ -384,24 +345,11 @@ impl GraphBfdn {
     }
 }
 
-/// Phase A's per-robot fill slot for the graph round.
-#[derive(Clone, Copy, Debug)]
-enum GSlot {
-    /// The move is fully determined by the robot's own state.
-    Resolved(Option<Port>),
-    /// At the origin in DN state: needs the sequential reanchor scan.
-    Reanchor,
-    /// Needs a DN claim at the robot's position.
-    Claim,
-}
-
-/// Mutable state of one graph exploration run; selection methods live
-/// here so the sharded and sequential paths share it.
+/// Mutable state of one graph exploration run.
 struct Run<'g> {
     graph: &'g Graph,
     origin: NodeId,
     k: usize,
-    threads: usize,
     known: Known,
     positions: Vec<NodeId>,
     states: Vec<RState>,
@@ -415,8 +363,6 @@ struct Run<'g> {
 
 impl Run<'_> {
     /// Reanchor for robot `i`: open node of minimum depth, least load.
-    /// Order-dependent (reads and writes the shared load table), so both
-    /// selection paths call it in robot order.
     fn reanchor(&mut self, i: usize) -> NodeId {
         let new_anchor = match self.known.min_open_depth() {
             Some(d) => {
@@ -445,14 +391,14 @@ impl Run<'_> {
     }
 
     /// The BF descent stack from the origin to `anchor` along BFS-tree
-    /// parent links (pure in the fog of war; safe to build in parallel).
-    fn bf_stack(known: &Known, graph: &Graph, origin: NodeId, anchor: NodeId) -> Vec<Port> {
+    /// parent links.
+    fn bf_stack(&self, anchor: NodeId) -> Vec<Port> {
         let mut stack = Vec::new();
         let mut cur = anchor;
-        while cur != origin {
-            let (par, back) = known.parent_of(cur);
+        while cur != self.origin {
+            let (par, back) = self.known.parent_of(cur);
             // The port at the parent leading to `cur`:
-            let down = graph.endpoint(cur, back).expect("parent edge").back;
+            let down = self.graph.endpoint(cur, back).expect("parent edge").back;
             stack.push(down);
             cur = par;
         }
@@ -474,34 +420,8 @@ impl Run<'_> {
         chosen
     }
 
-    /// [`Self::claim`] against a pre-gathered unknown-port prefix (the
-    /// prefix covers every contender counted for `pos`, so indexing it
-    /// equals the sequential `nth` scan).
-    fn claim_gathered(&mut self, pos: NodeId, prefix: &[Port]) -> Option<Port> {
-        let c = self.claims[pos.index()];
-        let chosen = prefix.get(c as usize).copied();
-        if chosen.is_some() {
-            if c == 0 {
-                self.claimed.push(pos);
-            }
-            self.claims[pos.index()] = c + 1;
-        }
-        chosen
-    }
-
-    /// The move for a robot at `pos` whose DN claim came up empty:
-    /// retreat towards the parent, or `⊥` (stay) at the origin.
-    fn retreat(&self, pos: NodeId) -> Option<Port> {
-        if pos == self.origin {
-            None // ⊥
-        } else {
-            Some(self.known.parent_of(pos).1)
-        }
-    }
-
-    /// The paper's sequential selection loop. The sharded path must
-    /// replay its decisions exactly.
-    fn select_sequential(&mut self, moves: &mut [Option<Port>]) {
+    /// The paper's selection loop (`for i = 1 to k`).
+    fn select(&mut self, moves: &mut [Option<Port>]) {
         for (i, mv) in moves.iter_mut().enumerate().take(self.k) {
             let pos = self.positions[i];
             if let RState::Backtrack(port) = self.states[i] {
@@ -515,8 +435,7 @@ impl Run<'_> {
             }
             if pos == self.origin && matches!(self.states[i], RState::Dn) {
                 let new_anchor = self.reanchor(i);
-                let stack = Self::bf_stack(&self.known, self.graph, self.origin, new_anchor);
-                self.states[i] = RState::Bf(stack);
+                self.states[i] = RState::Bf(self.bf_stack(new_anchor));
             }
             match &mut self.states[i] {
                 RState::Bf(stack) => {
@@ -529,116 +448,13 @@ impl Run<'_> {
                 RState::Dn => {}
                 RState::Backtrack(_) => unreachable!("handled above"),
             }
-            // DN: lowest unknown unselected port, else up.
+            // DN: lowest unknown unselected port, else up (`⊥` at the
+            // origin).
             *mv = match self.claim(pos) {
                 Some(p) => Some(p),
-                None => self.retreat(pos),
+                None if pos == self.origin => None,
+                None => Some(self.known.parent_of(pos).1),
             };
-        }
-    }
-
-    /// The sharded selection: parallel per-robot resolution into
-    /// index-stable slots, parallel unknown-port gathering, then a
-    /// sequential merge replaying reanchors and claims in robot order.
-    fn select_sharded(&mut self, moves: &mut [Option<Port>]) {
-        let positions = &self.positions;
-        let origin = self.origin;
-        // Phase A over contiguous robot-state shards: resolve everything
-        // a robot decides from its own control state.
-        let slots: Vec<GSlot> = parallel::par_shards_mut(&mut self.states, self.threads, {
-            |first, shard| {
-                let mut slots = Vec::with_capacity(shard.len());
-                for (offset, state) in shard.iter_mut().enumerate() {
-                    let pos = positions[first + offset];
-                    let slot = (|| {
-                        if let RState::Backtrack(port) = state {
-                            let port = *port;
-                            *state = RState::Dn;
-                            return GSlot::Resolved(Some(port));
-                        }
-                        if matches!(state, RState::Bf(s) if s.is_empty()) {
-                            *state = RState::Dn;
-                        }
-                        if pos == origin && matches!(state, RState::Dn) {
-                            return GSlot::Reanchor;
-                        }
-                        if let RState::Bf(stack) = state {
-                            let port = stack.pop().expect("empty BF normalized above");
-                            return GSlot::Resolved(Some(port));
-                        }
-                        GSlot::Claim
-                    })();
-                    slots.push(slot);
-                }
-                slots
-            }
-        })
-        .concat();
-        // Gather: per contended node, the prefix of unknown ports long
-        // enough to cover every claim that can land there this round.
-        // Reanchoring robots may fall through to a claim at the origin,
-        // so they count as origin contenders (over-counting only makes
-        // the prefix longer).
-        let mut caps: HashMap<NodeId, usize> = HashMap::new();
-        for (i, slot) in slots.iter().enumerate() {
-            match slot {
-                GSlot::Claim => *caps.entry(positions[i]).or_insert(0) += 1,
-                GSlot::Reanchor => *caps.entry(origin).or_insert(0) += 1,
-                GSlot::Resolved(_) => {}
-            }
-        }
-        let mut wanted: Vec<(NodeId, usize)> = caps.into_iter().collect();
-        wanted.sort_unstable_by_key(|&(v, _)| v.index());
-        let known = &self.known;
-        let prefixes: Vec<Vec<Port>> =
-            parallel::par_map_with_threads(&wanted, self.threads, |&(v, cap)| {
-                known.unknown_ports(v).take(cap).collect()
-            });
-        let gathered: HashMap<NodeId, Vec<Port>> =
-            wanted.iter().map(|&(v, _)| v).zip(prefixes).collect();
-        // Merge: reanchors and claims in robot order. Non-origin
-        // reanchors defer their O(depth) stack build to phase C.
-        let mut pending_stacks: Vec<(usize, NodeId)> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let pos = self.positions[i];
-            match slot {
-                GSlot::Resolved(mv) => moves[i] = mv,
-                GSlot::Reanchor => {
-                    let new_anchor = self.reanchor(i);
-                    if new_anchor == origin {
-                        // Empty descent: fall through to a DN claim at
-                        // the origin, exactly like the sequential loop.
-                        self.states[i] = RState::Dn;
-                        moves[i] = match self.claim_gathered(pos, &gathered[&pos]) {
-                            Some(p) => Some(p),
-                            None => self.retreat(pos),
-                        };
-                    } else {
-                        pending_stacks.push((i, new_anchor));
-                    }
-                }
-                GSlot::Claim => {
-                    moves[i] = match self.claim_gathered(pos, &gathered[&pos]) {
-                        Some(p) => Some(p),
-                        None => self.retreat(pos),
-                    };
-                }
-            }
-        }
-        // Phase C: build the committed descent stacks in parallel and
-        // take each robot's first hop.
-        if !pending_stacks.is_empty() {
-            let known = &self.known;
-            let graph = self.graph;
-            let stacks =
-                parallel::par_map_with_threads(&pending_stacks, self.threads, |&(_, anchor)| {
-                    Self::bf_stack(known, graph, origin, anchor)
-                });
-            for (&(i, _), mut stack) in pending_stacks.iter().zip(stacks) {
-                let port = stack.pop().expect("non-origin anchor has a descent");
-                self.states[i] = RState::Bf(stack);
-                moves[i] = Some(port);
-            }
         }
     }
 }
@@ -752,32 +568,5 @@ mod tests {
         let g = GraphBuilder::new(1).build();
         let out = GraphBfdn::explore(&g, NodeId::new(0), 3).unwrap();
         assert_eq!(out.rounds, 0);
-    }
-
-    #[test]
-    fn sharded_selection_matches_sequential() {
-        let grids = [
-            GridGraph::new(6, 6, &[]),
-            GridGraph::new(8, 5, &[Rect::new(2, 1, 4, 3)]),
-            GridGraph::new(10, 10, &[Rect::new(1, 1, 3, 8), Rect::new(5, 2, 9, 4)]),
-        ];
-        for (gi, grid) in grids.iter().enumerate() {
-            for k in [4usize, 9, 16, 33] {
-                let seq =
-                    GraphBfdn::explore_with_threads(grid.graph(), grid.origin(), k, 1).unwrap();
-                for threads in [2usize, 4, 7] {
-                    let par =
-                        GraphBfdn::explore_with_threads(grid.graph(), grid.origin(), k, threads)
-                            .unwrap();
-                    assert_eq!(seq, par, "grid {gi} k={k} threads={threads}");
-                }
-            }
-        }
-        for n in [7usize, 20] {
-            let g = cycle(n);
-            let seq = GraphBfdn::explore_with_threads(&g, NodeId::new(0), 12, 1).unwrap();
-            let par = GraphBfdn::explore_with_threads(&g, NodeId::new(0), 12, 4).unwrap();
-            assert_eq!(seq, par, "cycle n={n}");
-        }
     }
 }

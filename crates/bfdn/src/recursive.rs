@@ -27,40 +27,10 @@
 //! so reported anchors always lie on the path from the root to the
 //! robot's position. Once the tree is fully explored all robots walk
 //! straight home.
-//!
-//! # Intra-round sharding
-//!
-//! The top-level [`Divide`]'s child instances own disjoint robot sets
-//! and disjoint sub-trees, so with a thread budget
-//! ([`BfdnL::with_round_threads`], default `BFDN_ROUND_THREADS`) their
-//! `step`s run on worker threads, each writing `(robot, move)` pairs
-//! into a private [`MoveOut`] buffer that is drained afterwards — the
-//! indices are disjoint, so the result is identical to the sequential
-//! fan at any thread count. Nested divides and `ℓ = 1` (a single
-//! top-level [`Leaf`], whose claim counters are order-dependent) stay
-//! sequential.
 
-use bfdn_sim::{parallel, Explorer, Move, RoundContext};
+use bfdn_sim::{Explorer, Move, RoundContext};
 use bfdn_trees::{NodeId, PartialTree, Port};
 use std::collections::{BTreeSet, HashSet};
-
-/// Where a stepped instance writes its robots' moves: directly into the
-/// simulator's slice, or into an index-tagged buffer when child
-/// instances run on worker threads.
-enum MoveOut<'a> {
-    Direct(&'a mut [Move]),
-    Buffer(&'a mut Vec<(usize, Move)>),
-}
-
-impl MoveOut<'_> {
-    #[inline]
-    fn set(&mut self, i: usize, mv: Move) {
-        match self {
-            MoveOut::Direct(out) => out[i] = mv,
-            MoveOut::Buffer(buf) => buf.push((i, mv)),
-        }
-    }
-}
 
 /// What an interrupted instance hands back to its parent.
 #[derive(Clone, Debug, Default)]
@@ -276,7 +246,7 @@ impl Leaf {
         ports
     }
 
-    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut MoveOut<'_>) {
+    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
         self.sync(ctx.tree);
         let tree = ctx.tree;
         self.claims.clear();
@@ -316,7 +286,7 @@ impl Leaf {
                     }
                 }
             };
-            out.set(i, mv);
+            out[i] = mv;
         }
     }
 
@@ -441,9 +411,6 @@ struct Divide {
     phase: DPhase,
     children: Vec<Instance>,
     finished: bool,
-    /// Thread budget for fanning the children; 1 everywhere except the
-    /// top-level instance (nested fans would oversubscribe).
-    threads: usize,
 }
 
 impl Divide {
@@ -456,7 +423,6 @@ impl Divide {
         team: &[usize],
         adopted: &[(usize, NodeId)],
         open: Vec<(usize, NodeId)>,
-        threads: usize,
         ctx: &RoundContext<'_>,
     ) -> Self {
         debug_assert!(level >= 2);
@@ -472,7 +438,6 @@ impl Divide {
             phase: DPhase::Run,
             children: Vec::new(),
             finished: false,
-            threads,
         };
         // Iteration 1: a single sub-tree (the instance root) with the
         // adopted robots in place.
@@ -586,7 +551,7 @@ impl Divide {
         self.build_iteration(groups, open, ctx);
     }
 
-    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut MoveOut<'_>) {
+    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
         if self.finished {
             return;
         }
@@ -634,7 +599,7 @@ impl Divide {
                             Step::Up => Move::Up,
                             Step::Down(p) => Move::Down(p),
                         };
-                        out.set(*r, mv);
+                        out[*r] = mv;
                     }
                     walkers.retain(|(_, path)| !path.is_empty());
                 }
@@ -643,28 +608,10 @@ impl Divide {
         }
     }
 
-    /// Steps every child instance. Children own disjoint robot sets and
-    /// disjoint sub-trees, so with a thread budget they run on worker
-    /// threads, each filling a private buffer that is drained here — the
-    /// written indices are disjoint, so this equals the sequential fan.
-    fn fan_children(&mut self, ctx: &RoundContext<'_>, out: &mut MoveOut<'_>) {
-        if self.threads > 1 && self.children.len() >= 2 {
-            let buffers = parallel::par_shards_mut(&mut self.children, self.threads, {
-                |_, shard| {
-                    let mut buf: Vec<(usize, Move)> = Vec::new();
-                    for child in shard {
-                        child.step(ctx, &mut MoveOut::Buffer(&mut buf));
-                    }
-                    buf
-                }
-            });
-            for (i, mv) in buffers.into_iter().flatten() {
-                out.set(i, mv);
-            }
-        } else {
-            for child in &mut self.children {
-                child.step(ctx, out);
-            }
+    /// Steps every child instance.
+    fn fan_children(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
+        for child in &mut self.children {
+            child.step(ctx, out);
         }
     }
 
@@ -736,35 +683,17 @@ impl Instance {
         d_local: usize,
         ctx: &RoundContext<'_>,
     ) -> Self {
-        Self::create_with_threads(
-            level, k_star, n_iter, root, team, adopted, open, d_local, 1, ctx,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn create_with_threads(
-        level: u32,
-        k_star: usize,
-        n_iter: usize,
-        root: NodeId,
-        team: &[usize],
-        adopted: &[(usize, NodeId)],
-        open: Vec<(usize, NodeId)>,
-        d_local: usize,
-        threads: usize,
-        ctx: &RoundContext<'_>,
-    ) -> Self {
         if level <= 1 {
             let limit = ctx.tree.depth(root) + d_local;
             Instance::Leaf(Box::new(Leaf::create(root, limit, team, adopted, open)))
         } else {
             Instance::Divide(Box::new(Divide::create(
-                level, k_star, n_iter, root, team, adopted, open, threads, ctx,
+                level, k_star, n_iter, root, team, adopted, open, ctx,
             )))
         }
     }
 
-    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut MoveOut<'_>) {
+    fn step(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
         match self {
             Instance::Leaf(l) => l.step(ctx, out),
             Instance::Divide(d) => d.step(ctx, out),
@@ -841,9 +770,6 @@ pub struct BfdnL {
     adopted: Vec<(usize, NodeId)>,
     calls: u32,
     name: String,
-    /// Intra-round thread budget for the top-level child fan; 1 = fully
-    /// sequential.
-    threads: usize,
 }
 
 impl BfdnL {
@@ -888,23 +814,7 @@ impl BfdnL {
             adopted: Vec::new(),
             calls: 0,
             name: format!("bfdn-l{ell}"),
-            threads: parallel::round_threads(),
         }
-    }
-
-    /// Sets the intra-round thread budget explicitly (instead of the
-    /// `BFDN_ROUND_THREADS` default). The exploration is identical at
-    /// any value; only wall-clock time changes.
-    #[must_use]
-    pub fn with_round_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The intra-round thread budget.
-    #[inline]
-    pub fn round_threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of robots `k` (including unused ones).
@@ -956,12 +866,7 @@ impl Explorer for BfdnL {
             let robots: Vec<usize> = (0..self.k_used).collect();
             let n_iter = (self.growth as usize).pow(self.j); // base^j
             let d_total = n_iter.pow(self.ell); // d_j = 2^{jℓ}
-            let threads = if self.threads > 1 && self.k_used >= 2 * self.threads {
-                self.threads
-            } else {
-                1
-            };
-            self.instance = Some(Instance::create_with_threads(
+            self.instance = Some(Instance::create(
                 self.ell,
                 self.k_star,
                 n_iter,
@@ -970,7 +875,6 @@ impl Explorer for BfdnL {
                 &self.adopted,
                 ctx.tree.open_nodes_snapshot(),
                 d_total,
-                threads,
                 ctx,
             ));
             self.adopted.clear();
@@ -979,7 +883,7 @@ impl Explorer for BfdnL {
         self.instance
             .as_mut()
             .expect("created above")
-            .step(ctx, &mut MoveOut::Direct(out));
+            .step(ctx, out);
     }
 
     fn name(&self) -> &str {

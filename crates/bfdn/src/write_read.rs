@@ -29,7 +29,7 @@
 //!   is directly visible to it; the root joins `R` as soon as all of its
 //!   ports have been sent. This replaces the bootstrap at `d = 0`.
 
-use bfdn_sim::{parallel, Explorer, Move, RoundContext};
+use bfdn_sim::{Explorer, Move, RoundContext};
 use bfdn_trees::{NodeId, PartialTree, Port};
 use std::collections::{BTreeSet, HashSet};
 
@@ -246,27 +246,6 @@ pub struct WriteReadBfdn {
     max_stack: usize,
     /// Largest finished-port snapshot any robot ever carried (≤ Δ).
     max_snapshot: usize,
-    /// Intra-round thread budget; 1 = the sequential per-robot pass.
-    threads: usize,
-}
-
-/// Phase A's per-robot fill slot for the write-read round: decisions a
-/// robot makes from its own memory alone, or the whiteboard/planner
-/// interaction it defers to the sequential merge.
-#[derive(Clone, Copy, Debug)]
-enum WrSlot {
-    /// Fully resolved in phase A (a `BF` descent hop or an idle stay).
-    Resolved(Move),
-    /// Moving up: the move itself is fixed, but marking the parent's
-    /// whiteboard port *finished* must interleave with this round's
-    /// `PARTITION` snapshots in robot order.
-    UpMarking { parent: NodeId, port: Port },
-    /// Needs `PARTITION` at its node (whiteboard contention, resolves
-    /// in merge order).
-    Dn,
-    /// Waiting at the root for a planner assignment (load-balanced
-    /// `assign` resolves in merge order).
-    Assign,
 }
 
 impl WriteReadBfdn {
@@ -285,22 +264,7 @@ impl WriteReadBfdn {
             reanchors_by_depth: Vec::new(),
             max_stack: 0,
             max_snapshot: 0,
-            threads: parallel::round_threads(),
         }
-    }
-
-    /// Sets the intra-round thread budget (clamped to at least 1; the
-    /// constructor defaults to the `BFDN_ROUND_THREADS` knob). Budgets
-    /// above 1 shard the per-robot pass and merge whiteboard/planner
-    /// effects deterministically — identical traces at any budget.
-    pub fn with_round_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The intra-round thread budget this explorer runs with.
-    pub fn round_threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of robots `k`.
@@ -408,27 +372,7 @@ impl Explorer for WriteReadBfdn {
         }
         self.planner.advance_if_ready(tree);
 
-        // Pass 2: per-robot moves — sharded when the thread budget and
-        // team size warrant it, the paper's sequential loop otherwise.
-        if self.threads > 1 && self.k >= 2 * self.threads {
-            self.pass2_sharded(ctx, out);
-        } else {
-            self.pass2_sequential(ctx, out);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "bfdn-write-read"
-    }
-}
-
-impl WriteReadBfdn {
-    /// Pass 2 of [`Explorer::select_moves`], the paper's sequential
-    /// per-robot loop. The sharded pass below must replay its decisions
-    /// byte-for-byte.
-    #[allow(clippy::needless_range_loop)]
-    fn pass2_sequential(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
-        let tree = ctx.tree;
+        // Pass 2: per-robot moves (the paper's `for i = 1 to k`).
         for i in 0..self.k {
             let pos = ctx.positions[i];
             out[i] = match std::mem::replace(&mut self.states[i], RobotState::AtRoot) {
@@ -504,137 +448,15 @@ impl WriteReadBfdn {
         }
     }
 
-    /// Pass 2, sharded: a parallel map over robot index ranges resolves
-    /// every decision a robot can make from its own memory (`BF` stack
-    /// pops, `Return` transitions) into index-stable slots; a
-    /// sequential merge then applies the whiteboard and planner
-    /// interactions in robot order, exactly as
-    /// [`Self::pass2_sequential`] would; finally the root→anchor port
-    /// stacks committed by the merge are built in parallel (pure in the
-    /// explored tree).
-    fn pass2_sharded(&mut self, ctx: &RoundContext<'_>, out: &mut [Move]) {
-        let tree = ctx.tree;
-        let positions = ctx.positions;
-        let planner_done = self.planner.done;
-        // Phase A over contiguous robot-state shards.
-        let slots: Vec<WrSlot> =
-            parallel::par_shards_mut(&mut self.states, self.threads, |first, shard| {
-                let mut slots = Vec::with_capacity(shard.len());
-                for (offset, state) in shard.iter_mut().enumerate() {
-                    let pos = positions[first + offset];
-                    let slot = match state {
-                        RobotState::AtRoot if planner_done => WrSlot::Resolved(Move::Stay),
-                        RobotState::AtRoot => WrSlot::Assign,
-                        RobotState::Reporting(_) => unreachable!("reports delivered in pass 1"),
-                        RobotState::Bf { .. } => {
-                            let RobotState::Bf { anchor, mut stack } =
-                                std::mem::replace(state, RobotState::AtRoot)
-                            else {
-                                unreachable!("matched above");
-                            };
-                            let port = stack.pop().expect("BF state implies pending hops");
-                            *state = if stack.is_empty() {
-                                RobotState::Dn { anchor, rel: 0 }
-                            } else {
-                                RobotState::Bf { anchor, stack }
-                            };
-                            WrSlot::Resolved(Move::Down(port))
-                        }
-                        RobotState::Dn { .. } => WrSlot::Dn,
-                        RobotState::Return(_) => {
-                            let parent = tree
-                                .parent(pos)
-                                .expect("returning robots are not at the root");
-                            let port = tree.parent_port(pos).expect("non-root has a parent port");
-                            if parent.is_root() {
-                                let RobotState::Return(report) =
-                                    std::mem::replace(state, RobotState::AtRoot)
-                                else {
-                                    unreachable!("matched above");
-                                };
-                                *state = RobotState::Reporting(report);
-                            }
-                            WrSlot::UpMarking { parent, port }
-                        }
-                    };
-                    slots.push(slot);
-                }
-                slots
-            })
-            .concat();
-        // Merge: whiteboard writes and planner assignments in robot
-        // order. Non-root anchor assignments defer their O(depth) stack
-        // build to the parallel phase C.
-        let mut pending_stacks: Vec<(usize, NodeId)> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let pos = positions[i];
-            match slot {
-                WrSlot::Resolved(mv) => out[i] = mv,
-                WrSlot::UpMarking { parent, port } => {
-                    Self::board(&mut self.whiteboards, tree, parent).mark_finished(port);
-                    out[i] = Move::Up;
-                }
-                WrSlot::Dn => {
-                    let &RobotState::Dn { anchor, rel } = &self.states[i] else {
-                        unreachable!("slot recorded a DN state");
-                    };
-                    out[i] = self.dn_step(tree, pos, i, anchor, rel);
-                }
-                WrSlot::Assign => {
-                    out[i] = match self.planner.assign() {
-                        Some(anchor) if anchor.is_root() => {
-                            self.record_assignment(0);
-                            self.states[i] = RobotState::Dn { anchor, rel: 0 };
-                            let board = Self::board(&mut self.whiteboards, tree, pos);
-                            match board.partition() {
-                                Some(port) => {
-                                    self.states[i] = RobotState::Dn { anchor, rel: 1 };
-                                    Move::Down(port)
-                                }
-                                None => {
-                                    self.planner.drop_load(anchor);
-                                    self.states[i] = RobotState::AtRoot;
-                                    Move::Stay
-                                }
-                            }
-                        }
-                        Some(anchor) => {
-                            self.record_assignment(tree.depth(anchor));
-                            pending_stacks.push((i, anchor));
-                            Move::Stay // overwritten in phase C
-                        }
-                        None => {
-                            self.states[i] = RobotState::AtRoot;
-                            Move::Stay
-                        }
-                    };
-                }
-            }
-        }
-        // Phase C: build the committed port stacks in parallel and take
-        // each robot's first hop.
-        if !pending_stacks.is_empty() {
-            let stacks =
-                parallel::par_map_with_threads(&pending_stacks, self.threads, |&(_, anchor)| {
-                    Self::stack_to(tree, anchor)
-                });
-            for (&(i, anchor), mut stack) in pending_stacks.iter().zip(stacks) {
-                self.max_stack = self.max_stack.max(stack.len());
-                let port = stack.pop().expect("non-root anchor has a path");
-                self.states[i] = if stack.is_empty() {
-                    RobotState::Dn { anchor, rel: 0 }
-                } else {
-                    RobotState::Bf { anchor, stack }
-                };
-                out[i] = Move::Down(port);
-            }
-        }
+    fn name(&self) -> &str {
+        "bfdn-write-read"
     }
+}
 
-    /// One `DN` step at `pos` for robot `i` (shared by the sequential
-    /// loop and the sharded merge): hand out the next `PARTITION` port,
-    /// climb while the walk below is unfinished, or snapshot the
-    /// anchor's finished ports and head home.
+impl WriteReadBfdn {
+    /// One `DN` step at `pos` for robot `i`: hand out the next
+    /// `PARTITION` port, climb while the walk below is unfinished, or
+    /// snapshot the anchor's finished ports and head home.
     fn dn_step(
         &mut self,
         tree: &PartialTree,

@@ -529,87 +529,6 @@ fn flat_bfdn_matches_hashed_reference_on_families() {
     }
 }
 
-/// Builds every explorer arm at a given intra-round thread budget (set
-/// through the explicit APIs, not `BFDN_ROUND_THREADS`, so the test is
-/// environment-independent).
-fn arms_at(k: usize, threads: usize) -> Vec<Box<dyn bfdn_sim::Explorer>> {
-    vec![
-        Box::new(Bfdn::builder(k).round_threads(threads).build()),
-        Box::new(
-            Bfdn::builder(k)
-                .shortcut(true)
-                .selection_order(SelectionOrder::Rotating)
-                .round_threads(threads)
-                .build(),
-        ),
-        Box::new(
-            Bfdn::builder(k)
-                .reanchor_rule(ReanchorRule::Random(11))
-                .round_threads(threads)
-                .build(),
-        ),
-        Box::new(
-            Bfdn::builder(k)
-                .reanchor_rule(ReanchorRule::RoundRobin)
-                .round_threads(threads)
-                .build(),
-        ),
-        Box::new(WriteReadBfdn::new(k).with_round_threads(threads)),
-        Box::new(BfdnL::new(k, 2).with_round_threads(threads)),
-        Box::new(BfdnL::new(k, 3).with_round_threads(threads)),
-    ]
-}
-
-/// Intra-round sharding must not change a single byte of any trace:
-/// every explorer arm, every family, thread budgets 1 / 2 / 4, team
-/// sizes on both sides of the `k >= 2·threads` sharding threshold.
-#[test]
-fn round_thread_sharding_is_trace_invariant() {
-    for (fi, fam) in Family::ALL.iter().enumerate() {
-        let tree = family_instance(*fam, fi, 120);
-        for k in [9usize, 16] {
-            let baselines: Vec<Trace> = arms_at(k, 1)
-                .iter_mut()
-                .map(|algo| trace_of(&tree, k, algo.as_mut()))
-                .collect();
-            for threads in [2usize, 4] {
-                for (arm, (mut algo, want)) in
-                    arms_at(k, threads).into_iter().zip(&baselines).enumerate()
-                {
-                    let got = trace_of(&tree, k, algo.as_mut());
-                    assert!(
-                        got == *want,
-                        "{} k={k} threads={threads} arm {arm}: sharded trace diverged",
-                        fam.name()
-                    );
-                }
-            }
-            // Robust arm under a seeded stall adversary (blocked robots
-            // become skip slots in the sharded phase).
-            let robust_run = |threads: usize| {
-                let mut algo = Bfdn::builder(k).robust(true).round_threads(threads).build();
-                let mut sim = Simulator::new(&tree, k).record_trace();
-                sim.run_with(
-                    &mut algo,
-                    &mut RandomStall::new(0.25, 5),
-                    StopCondition::Explored,
-                )
-                .unwrap()
-                .trace
-                .unwrap()
-            };
-            let want = robust_run(1);
-            for threads in [2usize, 4] {
-                assert!(
-                    robust_run(threads) == want,
-                    "{} k={k} threads={threads}: robust sharded trace diverged",
-                    fam.name()
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -22,6 +22,7 @@ use crate::measure::{Collector, DaemonStats, SloConfig};
 use crate::run::{classify_error, fetch_daemon_stats, sleep_until, trace_id, RunOutcome};
 use crate::workload::{Op, Plan};
 use bfdn_cluster::{ClusterClient, ClusterConfig, ClusterError};
+use bfdn_obs::fleet::parse_exposition;
 use bfdn_service::client::Client;
 use bfdn_service::exec;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -429,11 +430,11 @@ pub fn execute_cluster(
         add(&mut total.cache_hits, stats.cache_hits);
         add(&mut total.cache_misses, stats.cache_misses);
         if let Some(exposition) = scrape_exposition(addr, http) {
-            peer_fill_hits += crate::measure::metric_value(&exposition, "bfdn_peer_fill_hit_total")
+            let scrape = parse_exposition(&exposition);
+            peer_fill_hits += scrape.value("bfdn_peer_fill_hit_total", &[]).unwrap_or(0.0);
+            peer_fill_misses += scrape
+                .value("bfdn_peer_fill_miss_total", &[])
                 .unwrap_or(0.0);
-            peer_fill_misses +=
-                crate::measure::metric_value(&exposition, "bfdn_peer_fill_miss_total")
-                    .unwrap_or(0.0);
         }
         if let Some((recorded, dropped)) = Client::connect(addr)
             .ok()

@@ -12,6 +12,7 @@
 //! daemon, while the near-cap `big-instance` quantiles stay resolvable
 //! instead of saturating at the daemon's top bucket.
 
+use bfdn_obs::fleet::parse_exposition;
 use bfdn_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -259,13 +260,15 @@ pub struct DaemonStats {
 
 impl DaemonStats {
     pub fn parse(exposition: &str) -> DaemonStats {
+        let scrape = parse_exposition(exposition);
+        let value = |name: &str| scrape.value(name, &[]);
         DaemonStats {
-            bound_checked: metric_value(exposition, "bfdn_bound_checked_total"),
-            bound_violations: metric_value(exposition, "bfdn_bound_violations_total"),
-            cache_hits: metric_value(exposition, "bfdn_cache_hits_total"),
-            cache_misses: metric_value(exposition, "bfdn_cache_misses_total"),
-            resident_bytes: metric_value(exposition, "bfdn_cache_resident_bytes"),
-            store_hits: metric_value(exposition, "bfdn_store_hits_total"),
+            bound_checked: value("bfdn_bound_checked_total"),
+            bound_violations: value("bfdn_bound_violations_total"),
+            cache_hits: value("bfdn_cache_hits_total"),
+            cache_misses: value("bfdn_cache_misses_total"),
+            resident_bytes: value("bfdn_cache_resident_bytes"),
+            store_hits: value("bfdn_store_hits_total"),
         }
     }
 
@@ -274,15 +277,6 @@ impl DaemonStats {
         let total = hits + misses;
         (total > 0.0).then(|| hits / total)
     }
-}
-
-/// The value of an unlabelled metric in a Prometheus text exposition.
-pub fn metric_value(exposition: &str, name: &str) -> Option<f64> {
-    exposition.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        let rest = rest.strip_prefix(' ')?;
-        rest.trim().parse().ok()
-    })
 }
 
 /// Scrapes `http://{addr}/metrics` with a plain socket and returns the
@@ -465,8 +459,6 @@ mod tests {
         assert_eq!(stats.cache_hit_ratio(), Some(0.75));
         assert_eq!(stats.resident_bytes, Some(4000.0));
         assert_eq!(stats.store_hits, Some(7.0));
-        assert_eq!(metric_value(text, "bfdn_cache"), None, "prefix only");
-        assert_eq!(metric_value(text, "missing_metric"), None);
     }
 
     #[test]

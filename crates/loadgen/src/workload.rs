@@ -36,9 +36,8 @@ const FAMILY_CHOICES: [&str; 5] = [
 /// The `big-instance` request class: single explores near the daemon's
 /// validation caps (`MAX_N` = 2·10⁶, `MAX_K` = 65 536), drawn
 /// round-robin. Only the shallow families are tractable at this size —
-/// rounds grow at least linearly in depth — and each request is heavy
-/// enough that the daemon's per-request `--round-threads` budget is
-/// what keeps its latency inside the class SLO.
+/// rounds grow at least linearly in depth — and each request occupies
+/// one daemon worker for its whole run, which the class SLO allows for.
 const BIG_INSTANCE_CHOICES: [(&str, &str, u64, u64); 2] = [
     ("bfdn", "random-recursive", 1_500_000, 4_096),
     ("bfdn", "binary", 1_000_000, 8_192),

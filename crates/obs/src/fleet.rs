@@ -621,6 +621,9 @@ mod tests {
         assert!(scrape.value("nan", &[]).unwrap().is_nan());
         assert_eq!(scrape.value("esc", &[("path", "a\"b\\c\nd")]), Some(1.0));
         assert_eq!(scrape.value("plain", &[]), Some(7.5));
+        // Names match whole, never by prefix; absent names read as None.
+        assert_eq!(scrape.value("pla", &[]), None, "prefix only");
+        assert_eq!(scrape.value("missing_metric", &[]), None);
     }
 
     #[test]

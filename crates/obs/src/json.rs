@@ -1,8 +1,7 @@
 //! A minimal hand-rolled JSON writer.
 //!
-//! The workspace deliberately carries no serialization dependency (see
-//! `bfdn-trees`' serde feature, which wires derives without a format
-//! crate), so the observability layer writes its own JSON: flat objects
+//! The workspace deliberately carries no serialization dependency, so
+//! the observability layer writes its own JSON: flat objects
 //! for events, one nesting level for manifests. Only what the crate
 //! needs is implemented — strings, integers, finite floats, arrays, and
 //! objects.

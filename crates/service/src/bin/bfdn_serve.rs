@@ -10,7 +10,6 @@
 //!            [--access-log PATH] [--access-log-max-bytes N] [--slow-ms MS]
 //!            [--batch-split N] [--read-timeout-ms MS]
 //!            [--trace-out PATH] [--trace-sample N]
-//!            [--round-threads N]
 //!            [--peers HOST:PORT,HOST:PORT,...] [--peer-timeout-ms MS]
 //!            [--profile-interval-ms MS] [--profile-out PATH]
 //! ```
@@ -106,13 +105,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 let v = value("--trace-sample")?;
                 config.trace_sample = v.parse().map_err(|_| format!("bad --trace-sample `{v}`"))?;
             }
-            "--round-threads" => {
-                let v = value("--round-threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --round-threads `{v}`"))?;
-                config.round_threads = Some(n.max(1));
-            }
             "--metrics-scrapers" => {
                 let v = value("--metrics-scrapers")?;
                 let n: usize = v
@@ -156,7 +148,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                      --metrics-addr --metrics-scrapers --access-log \
                      --access-log-max-bytes --slow-ms \
                      --batch-split --read-timeout-ms --trace-out --trace-sample \
-                     --round-threads --peers --peer-timeout-ms \
+                     --peers --peer-timeout-ms \
                      --profile-interval-ms --profile-out)"
                 ))
             }

@@ -40,34 +40,15 @@ pub const MAX_K: u64 = 65_536;
 pub const MAX_DELAY_MS: u64 = 10_000;
 
 /// Instantiates the explorer named `algo` for `k` robots, or `None` for
-/// an unknown name. The intra-round thread budget comes from
-/// `BFDN_ROUND_THREADS` (default 1); see
-/// [`build_explorer_with_threads`] for an explicit budget.
+/// an unknown name.
 pub fn build_explorer(algo: &str, k: usize) -> Option<Box<dyn Explorer>> {
-    build_explorer_with_threads(algo, k, bfdn_sim::parallel::round_threads())
-}
-
-/// [`build_explorer`] with an explicit intra-round thread budget. The
-/// budget never changes what an explorer computes — traces and metrics
-/// are byte-identical at any value — so it is deliberately *not* part
-/// of any result cache key.
-pub fn build_explorer_with_threads(
-    algo: &str,
-    k: usize,
-    threads: usize,
-) -> Option<Box<dyn Explorer>> {
     Some(match algo {
-        "bfdn" => Box::new(Bfdn::builder(k).round_threads(threads).build()),
-        "bfdn-robust" => Box::new(Bfdn::builder(k).robust(true).round_threads(threads).build()),
-        "bfdn-shortcut" => Box::new(
-            Bfdn::builder(k)
-                .shortcut(true)
-                .round_threads(threads)
-                .build(),
-        ),
-        "write-read" => Box::new(WriteReadBfdn::new(k).with_round_threads(threads)),
-        "bfdn-l2" => Box::new(BfdnL::new(k, 2).with_round_threads(threads)),
-        "bfdn-l3" => Box::new(BfdnL::new(k, 3).with_round_threads(threads)),
+        "bfdn" => Box::new(Bfdn::new(k)),
+        "bfdn-robust" => Box::new(Bfdn::new_robust(k)),
+        "bfdn-shortcut" => Box::new(Bfdn::builder(k).shortcut(true).build()),
+        "write-read" => Box::new(WriteReadBfdn::new(k)),
+        "bfdn-l2" => Box::new(BfdnL::new(k, 2)),
+        "bfdn-l3" => Box::new(BfdnL::new(k, 3)),
         "cte" => Box::new(Cte::new(k)),
         "dfs" => Box::new(OnlineDfs),
         _ => return None,
@@ -155,20 +136,6 @@ pub fn run_spec(spec: &ExploreSpec) -> Result<(ExploreResult, RunManifest), Wire
     run_spec_observed(spec, &mut NullSink)
 }
 
-/// [`run_spec`] with an explicit intra-round thread budget for the
-/// explorer (see [`build_explorer_with_threads`]); the result is
-/// byte-identical at any value.
-///
-/// # Errors
-///
-/// See [`run_spec`].
-pub fn run_spec_with_threads(
-    spec: &ExploreSpec,
-    threads: usize,
-) -> Result<(ExploreResult, RunManifest), WireError> {
-    run_spec_observed_with_threads(spec, &mut NullSink, threads)
-}
-
 /// [`run_spec`] with an external observer: every simulator event is
 /// forwarded to `observer` alongside the bound tracker, and the
 /// per-phase wall clocks (`build_tree`, `explore`, the simulator's
@@ -182,19 +149,6 @@ pub fn run_spec_with_threads(
 pub fn run_spec_observed(
     spec: &ExploreSpec,
     observer: &mut dyn EventSink,
-) -> Result<(ExploreResult, RunManifest), WireError> {
-    run_spec_observed_with_threads(spec, observer, bfdn_sim::parallel::round_threads())
-}
-
-/// [`run_spec_observed`] with an explicit intra-round thread budget.
-///
-/// # Errors
-///
-/// See [`run_spec`].
-pub fn run_spec_observed_with_threads(
-    spec: &ExploreSpec,
-    observer: &mut dyn EventSink,
-    threads: usize,
 ) -> Result<(ExploreResult, RunManifest), WireError> {
     validate(spec)?;
     if spec.options.delay_ms > 0 {
@@ -215,8 +169,7 @@ pub fn run_spec_observed_with_threads(
         urn_steps: None,
     });
 
-    let mut explorer =
-        build_explorer_with_threads(&spec.algorithm, k, threads).expect("validated algorithm");
+    let mut explorer = build_explorer(&spec.algorithm, k).expect("validated algorithm");
     let mut sim = Simulator::new(&tree, k).with_sink(Tee { tracker, observer });
     let outcome = phases
         .time("explore", || sim.run(explorer.as_mut()))
@@ -290,6 +243,28 @@ mod tests {
             );
         }
         assert!(build_explorer("quantum", 4).is_none());
+        // The shapes nearest the validation caps: no spec the daemon
+        // accepts may panic a worker or leave an edge undiscovered.
+        let mut specs = Vec::new();
+        for algo in ALGORITHMS {
+            for family in Family::ALL {
+                for n in [1, 200] {
+                    for k in [1, MAX_K] {
+                        specs.push(ExploreSpec::new(algo, family.name(), n, k, 3));
+                    }
+                }
+            }
+        }
+        let runs = crate::parallel::par_map(&specs, run_spec);
+        for (spec, run) in specs.iter().zip(runs) {
+            let (result, _) = run.unwrap_or_else(|e| panic!("{}: {e}", spec.canonical()));
+            assert_eq!(
+                result.metrics.edges_discovered,
+                result.nodes - 1,
+                "{}",
+                spec.canonical()
+            );
+        }
     }
 
     #[test]
@@ -303,21 +278,6 @@ mod tests {
         other_seed.seed = 43;
         let (c, _) = run_spec(&other_seed).unwrap();
         assert_ne!(a.metrics, c.metrics, "different seed, different run");
-    }
-
-    #[test]
-    fn round_thread_budget_never_changes_the_payload() {
-        // The cache stores payloads keyed without the thread budget;
-        // this is the invariant that makes that sound.
-        for algo in ["bfdn", "bfdn-shortcut", "write-read", "bfdn-l2"] {
-            let spec = ExploreSpec::new(algo, "random-recursive", 400, 16, 9);
-            let (seq, _) = run_spec_with_threads(&spec, 1).unwrap();
-            for threads in [2usize, 4] {
-                let (par, _) = run_spec_with_threads(&spec, threads).unwrap();
-                assert_eq!(seq, par, "{algo} threads={threads}");
-                assert_eq!(seq.payload_json(), par.payload_json(), "{algo}");
-            }
-        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! A minimal hand-rolled JSON *reader*, the inbound counterpart of
 //! [`bfdn_obs::json`]'s writer.
 //!
-//! The workspace deliberately carries no serialization format crate
-//! (serde wires derives only, see the crate features), so the wire
-//! protocol parses its own JSON. The subset implemented is exactly what
-//! the protocol emits: objects, arrays, strings, numbers, booleans and
-//! `null`, with full string-escape handling and a nesting-depth cap so a
-//! hostile frame cannot blow the stack.
+//! The workspace deliberately carries no serialization dependency, so
+//! the wire protocol parses its own JSON. The subset implemented is
+//! exactly what the protocol emits: objects, arrays, strings, numbers,
+//! booleans and `null`, with full string-escape handling and a
+//! nesting-depth cap so a hostile frame cannot blow the stack.
 //!
 //! # Example
 //!

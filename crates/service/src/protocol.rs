@@ -7,9 +7,7 @@
 //! document carries the protocol version (`"v"`) and a `"type"` tag;
 //! requests are decoded by [`Request::from_json`], responses by
 //! [`Response::from_json`], and both serialize through the workspace's
-//! hand-rolled JSON writer ([`bfdn_obs::json`]) — the serde derives
-//! behind the `serde` feature wire the types into serde-aware callers
-//! without pulling a format crate onto the wire path.
+//! hand-rolled JSON writer ([`bfdn_obs::json`]).
 //!
 //! Documents may additionally carry an optional top-level `"trace"`
 //! field — a nonzero trace id in 16-digit hex — propagated outside the
@@ -41,7 +39,6 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Per-request options of an [`ExploreSpec`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExploreOptions {
     /// Return the run manifest JSON inline with the result.
     pub manifest: bool,
@@ -63,7 +60,6 @@ impl ExploreOptions {
 /// results content-addressable: [`ExploreSpec::canonical`] is the cache
 /// key.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExploreSpec {
     /// Algorithm name (see [`crate::exec::ALGORITHMS`]).
     pub algorithm: String,
@@ -176,7 +172,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A client request.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Request {
     /// Run (or serve from cache) one simulation.
     Explore(ExploreSpec),
@@ -307,7 +302,6 @@ impl Request {
 /// The counters of a [`Metrics`] in wire form (the private per-robot
 /// distances stay server-side).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsPayload {
     /// Rounds until the stop condition held.
     pub rounds: u64,
@@ -367,7 +361,6 @@ impl MetricsPayload {
 /// The reply to one [`ExploreSpec`]: instance shape, counters, and the
 /// Theorem 1 envelope with its margin.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExploreResult {
     /// The spec this result answers (canonicalized echo).
     pub spec: ExploreSpec,
@@ -469,7 +462,6 @@ impl ExploreResult {
 
 /// Machine-readable failure categories of [`WireError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ErrorCode {
     /// The request was malformed or referenced unknown
     /// algorithms/families/limits.
@@ -514,7 +506,6 @@ impl ErrorCode {
 
 /// A structured error reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WireError {
     /// Failure category.
     pub code: ErrorCode,
@@ -550,7 +541,6 @@ impl std::error::Error for WireError {}
 
 /// Server counters reported by [`Request::Status`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StatusPayload {
     /// Requests received (all types).
     pub requests: u64,
@@ -624,7 +614,6 @@ impl StatusPayload {
 
 /// Result-cache counters reported by [`Request::CacheStats`].
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStatsPayload {
     /// Entries currently resident.
     pub entries: u64,
@@ -702,7 +691,6 @@ impl CacheStatsPayload {
 /// One span of a server-side trace, in wire form (see
 /// [`bfdn_obs::tracing::SpanRecord`] for the recorder-side twin).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpanPayload {
     /// The trace this span belongs to (nonzero).
     pub trace: u64,
@@ -809,7 +797,6 @@ impl SpanPayload {
 
 /// The recent-span ring reported by [`Request::Trace`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TracePayload {
     /// Spans currently in the ring (filtered to one trace when the
     /// request carried an envelope trace id), sorted by start time.
@@ -849,7 +836,6 @@ impl TracePayload {
 
 /// A server reply.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Response {
     /// One simulation result.
     Result(Box<ExploreResult>),

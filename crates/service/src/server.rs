@@ -110,11 +110,6 @@ pub struct ServerConfig {
     /// even without a client-supplied `trace` id (`0` disables
     /// sampling). Client-supplied ids are always honoured.
     pub trace_sample: u64,
-    /// Intra-round thread budget handed to each executed explorer
-    /// (`BFDN_ROUND_THREADS` / 1 when unset). Results are byte-identical
-    /// at any value — this only trades wall-clock time against worker
-    /// parallelism, so batch items get the budget divided among them.
-    pub round_threads: Option<usize>,
     /// Wire addresses of the other shards in this daemon's cluster.
     /// When non-empty, a local cache miss first asks each peer (in a
     /// key-rotated order) for its cached result over
@@ -160,7 +155,6 @@ impl Default for ServerConfig {
             metrics_scrapers: 2,
             trace_out: None,
             trace_sample: 0,
-            round_threads: None,
             peers: Vec::new(),
             peer_timeout_ms: 250,
             access_log_max_bytes: 0,
@@ -337,8 +331,6 @@ struct Shared {
     manifest_dir: Option<PathBuf>,
     batch_split: usize,
     read_timeout_ms: u64,
-    /// Resolved intra-round thread budget per executed explorer.
-    round_threads: usize,
     /// Cluster peers to ask before executing a local miss (empty: no
     /// peer cache-fill).
     peers: Vec<String>,
@@ -388,7 +380,6 @@ impl Shared {
         &self,
         spec: &ExploreSpec,
         ctx: Option<SpanCtx>,
-        round_threads: usize,
     ) -> Result<ExploreResult, WireError> {
         let lookup_start = self.tracer.now_ns();
         let hit = self.cache.get(spec);
@@ -403,9 +394,9 @@ impl Shared {
         let (result, manifest) = match run_span {
             Some((c, span)) => {
                 let mut phases = SpanSink::new(&self.tracer, c.trace, span);
-                exec::run_spec_observed_with_threads(spec, &mut phases, round_threads)?
+                exec::run_spec_observed(spec, &mut phases)?
             }
-            None => exec::run_spec_with_threads(spec, round_threads)?,
+            None => exec::run_spec(spec)?,
         };
         if let Some((c, span)) = run_span {
             let duration = self.tracer.now_ns().saturating_sub(run_start);
@@ -770,10 +761,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         manifest_dir: config.manifest_dir.clone(),
         batch_split: config.batch_split.max(1),
         read_timeout_ms: config.read_timeout_ms,
-        round_threads: config
-            .round_threads
-            .unwrap_or_else(parallel::round_threads)
-            .max(1),
         peers: config.peers.clone(),
         peer_timeout: Duration::from_millis(config.peer_timeout_ms.max(1)),
         worker_phase: (0..workers).map(|_| AtomicU64::new(PHASE_IDLE)).collect(),
@@ -1030,7 +1017,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             slot.store(PHASE_EXECUTE, Ordering::Relaxed);
         }
         let response = match &job.kind {
-            JobKind::One(spec) => match shared.execute(spec, exec_ctx, shared.round_threads) {
+            JobKind::One(spec) => match shared.execute(spec, exec_ctx) {
                 Ok(result) => Response::Result(Box::new(result)),
                 Err(e) => Response::Error(e),
             },
@@ -1052,8 +1039,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 SpanRecord::new(c.trace, span, c.parent, "execute")
                     .at(exec_start_ns, exec_ns)
                     .attr_u64("worker", index as u64)
-                    .attr_u64("items", items)
-                    .attr_u64("round_threads", shared.round_threads as u64),
+                    .attr_u64("items", items),
             );
         }
         shared
@@ -1092,12 +1078,8 @@ fn run_batch(shared: &Arc<Shared>, specs: &[ExploreSpec], ctx: Option<SpanCtx>) 
         .zip(&looked_up)
         .filter_map(|(spec, hit)| hit.is_none().then_some(spec))
         .collect();
-    // Batch items already fan out across the work-sharing substrate, so
-    // the intra-round budget is divided among them (never below 1) to
-    // keep the two levels from oversubscribing each other.
-    let per_item = (shared.round_threads / pending.len().max(1)).max(1);
     let computed: Vec<Result<ExploreResult, WireError>> =
-        parallel::par_map(&pending, |spec| shared.execute(spec, ctx, per_item));
+        parallel::par_map(&pending, |spec| shared.execute(spec, ctx));
 
     let hits = looked_up.iter().flatten().count() as u64;
     let misses = pending.len() as u64;

@@ -9,7 +9,6 @@ use bfdn_trees::{NodeId, PartialTree, Port};
 /// may point at dangling edges — traversing one is how new nodes are
 /// explored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Move {
     /// Do not move this round (the `⊥` of Algorithm 1).
     #[default]

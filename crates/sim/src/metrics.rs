@@ -7,7 +7,6 @@ use std::fmt;
 /// All quantities are totals over the whole run; per-robot distances are
 /// available through [`Metrics::distance_per_robot`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Metrics {
     /// Rounds elapsed.
     pub rounds: u64,

@@ -1,5 +1,5 @@
-//! Deterministic work-sharing, shared by the experiment harness, the
-//! service's worker pool, and the explorers' intra-round robot loops.
+//! Deterministic work-sharing, shared by the experiment harness and the
+//! service's worker pool.
 //!
 //! [`par_map`] fans independent work items out over `std::thread::scope`
 //! workers pulling from an atomic queue, then reassembles the results in
@@ -9,15 +9,9 @@
 //! consumption order; only the simulations fan out), which is what lets
 //! the committed `EXPERIMENTS.md` numbers survive the parallel harness.
 //!
-//! [`par_shards_mut`] is the mutable counterpart used *inside* a round:
-//! per-robot state lives in one `Vec`, each shard owns a disjoint
-//! contiguous window of robots, and results come back in shard order so
-//! the sequential merge that follows sees them in robot-index order.
-//! Two independent knobs govern the two levels: `BFDN_THREADS` sizes
-//! the across-configuration fan-out ([`num_threads`]) while
-//! `BFDN_ROUND_THREADS` sizes the within-instance robot sharding
-//! ([`round_threads`], default 1 — opt-in, so the two levels do not
-//! oversubscribe a machine by default).
+//! Parallelism lives across configurations and requests, never inside
+//! a round: `BFDN_THREADS` sizes the fan-out ([`num_threads`]), and each
+//! explorer runs the paper's sequential `for i = 1 to k` loop.
 //!
 //! Workers claim *chunks* of adjacent items rather than single indices:
 //! one `fetch_add` per chunk instead of per item, which cuts queue
@@ -43,20 +37,6 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Intra-round worker count: the `BFDN_ROUND_THREADS` environment
-/// variable when set (and at least 1), otherwise **1**. Unlike
-/// [`num_threads`], sharding a round is opt-in: the harness already
-/// fans out across configurations with `BFDN_THREADS`, and running both
-/// levels wide by default would oversubscribe the machine.
-pub fn round_threads() -> usize {
-    if let Ok(v) = std::env::var("BFDN_ROUND_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    1
 }
 
 /// Applies `f` to every item, running items across [`num_threads`]
@@ -104,62 +84,6 @@ where
     });
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Splits `items` into `threads` contiguous shards and runs `f` on each
-/// shard concurrently (the calling thread works the first shard while
-/// the spawned threads work the rest). `f` receives the shard's
-/// starting item index and the mutable shard slice; results come back
-/// **in shard order** — equivalently, ascending start index — so a
-/// caller that concatenates per-shard output sees items in index order
-/// regardless of scheduling. A panic in any shard propagates to the
-/// caller with its original payload.
-///
-/// Shard sizes differ by at most one item (`len/threads` rounded up for
-/// the first `len % threads` shards), so a uniform per-item cost splits
-/// evenly. This is the primitive behind the explorers' sharded round
-/// loops: phase A computes per-robot candidates into the shard's slots
-/// in parallel, then a sequential merge walks the slots in robot-index
-/// order.
-pub fn par_shards_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    let threads = threads.min(items.len()).max(1);
-    if threads == 1 {
-        return vec![f(0, items)];
-    }
-    let len = items.len();
-    let (base, extra) = (len / threads, len % threads);
-    let mut shards: Vec<(usize, &mut [T])> = Vec::with_capacity(threads);
-    let mut rest = items;
-    let mut start = 0;
-    for i in 0..threads {
-        let size = base + usize::from(i < extra);
-        let (head, tail) = rest.split_at_mut(size);
-        shards.push((start, head));
-        start += size;
-        rest = tail;
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let mut shards = shards.into_iter();
-        let (first_start, first) = shards.next().expect("threads >= 1 shards");
-        let handles: Vec<_> = shards
-            .map(|(start, shard)| s.spawn(move || f(start, shard)))
-            .collect();
-        let mut out = Vec::with_capacity(threads);
-        out.push(f(first_start, first));
-        for h in handles {
-            match h.join() {
-                Ok(r) => out.push(r),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
 }
 
 /// One worker: claim the next unclaimed chunk of indices until the
@@ -240,59 +164,6 @@ mod tests {
         for threads in [2, 3, 4, 7, 16] {
             let out = par_map_with_threads(&items, threads, |&x| x * 2 + 1);
             assert_eq!(out, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shards_partition_the_slice_and_report_in_index_order() {
-        let mut items: Vec<u64> = (0..103).collect();
-        for threads in [1, 2, 3, 4, 7, 16, 103, 200] {
-            let out = par_shards_mut(&mut items, threads, |start, shard| {
-                for (offset, item) in shard.iter_mut().enumerate() {
-                    assert_eq!(*item as usize % 1000, start + offset, "slot index matches");
-                    *item += 1000;
-                }
-                (start, shard.len())
-            });
-            // Starts ascend and the lengths tile the slice exactly.
-            let mut expect_start = 0;
-            for &(start, len) in &out {
-                assert_eq!(start, expect_start, "threads={threads}");
-                expect_start += len;
-            }
-            assert_eq!(expect_start, items.len());
-        }
-        // Every item was visited exactly once per pass (8 passes above).
-        assert!(items.iter().enumerate().all(|(i, &v)| v == 8000 + i as u64));
-    }
-
-    #[test]
-    fn shard_sizes_differ_by_at_most_one() {
-        let mut items = vec![0u8; 10];
-        let sizes: Vec<usize> = par_shards_mut(&mut items, 4, |_, shard| shard.len());
-        assert_eq!(sizes, vec![3, 3, 2, 2]);
-    }
-
-    #[test]
-    fn shard_panics_propagate_with_their_payload() {
-        let mut items: Vec<usize> = (0..64).collect();
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_shards_mut(&mut items, 4, |start, _| {
-                assert!(start != 48, "shard {start} exploded");
-            })
-        }));
-        let payload = res.expect_err("the panic must cross par_shards_mut");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("shard 48 exploded"), "got: {msg}");
-    }
-
-    #[test]
-    fn round_threads_defaults_to_one_without_the_env_knob() {
-        if std::env::var("BFDN_ROUND_THREADS").is_err() {
-            assert_eq!(round_threads(), 1);
         }
     }
 

@@ -8,7 +8,6 @@ use std::sync::OnceLock;
 /// What happened in one round: the position of every robot *after* the
 /// synchronous move, and the move each robot performed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundRecord {
     /// Round number (0-based).
     pub round: u64,
@@ -25,12 +24,10 @@ pub struct RoundRecord {
 /// check that the write-read implementation of BFDN visits the same
 /// node-set milestones as the complete-communication one.
 #[derive(Clone, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     records: Vec<RoundRecord>,
-    /// Lazily built first-visit index; never serialized or compared —
-    /// it is derived data.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Lazily built first-visit index; never compared — it is derived
+    /// data.
     first_visits: OnceLock<HashMap<NodeId, u64>>,
 }
 

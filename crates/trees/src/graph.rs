@@ -6,7 +6,6 @@ use std::fmt;
 
 /// One endpoint of an edge as seen from a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Endpoint {
     /// The neighbour reached through this port.
     pub node: NodeId,
@@ -33,7 +32,6 @@ pub struct Endpoint {
 /// assert_eq!(g.bfs_distances(NodeId::new(0)), vec![Some(0), Some(1), Some(1)]);
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     adj: Vec<Vec<Endpoint>>,
     num_edges: usize,

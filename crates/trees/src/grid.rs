@@ -12,7 +12,6 @@ use rand::Rng;
 /// An axis-aligned rectangle of blocked cells, inclusive of `x0, y0`,
 /// exclusive of `x1, y1`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: usize,

@@ -17,7 +17,6 @@ use std::fmt;
 /// assert!(NodeId::ROOT.is_root());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -80,7 +79,6 @@ impl From<NodeId> for usize {
 /// assert_eq!(Port::new(2).index(), 2);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Port(u16);
 
 impl Port {

@@ -12,7 +12,6 @@ use std::collections::BTreeSet;
 
 /// Everything known about one explored node.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KnownNode {
     parent: Option<NodeId>,
     /// The port *at the parent* through which this node was discovered.

@@ -4,7 +4,6 @@ use crate::{NodeId, Port};
 use std::fmt;
 
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct NodeData {
     /// Parent node; `None` only for the root.
     pub(crate) parent: Option<NodeId>,
@@ -36,7 +35,6 @@ pub(crate) struct NodeData {
 /// assert_eq!(tree.max_degree(), 2);
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tree {
     pub(crate) nodes: Vec<NodeData>,
     depth: u32,

@@ -84,20 +84,6 @@ def main():
         )
         sys.exit(2)
 
-    # Like with like: a record measured under a different intra-round
-    # budget (BFDN_ROUND_THREADS) times different code paths — sharded
-    # rounds carry per-round spawn overhead the sequential loop doesn't.
-    base_rt = baseline.get("round_threads", 1)
-    cur_rt = current.get("round_threads", 1)
-    if base_rt != cur_rt:
-        print(
-            f"bench_trend: round_threads mismatch — current {cur_rt} vs "
-            f"baseline {base_rt}; rerun with BFDN_ROUND_THREADS={base_rt} "
-            "or re-record the baseline",
-            file=sys.stderr,
-        )
-        sys.exit(2)
-
     base, cur = by_id(baseline, "baseline"), by_id(current, "current")
     missing = sorted(set(base) - set(cur))
     if missing:
