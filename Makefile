@@ -17,13 +17,13 @@ experiments:
 experiments-quick:
 	cargo run --release -p bfdn-bench --bin experiments -- all --quick
 
-# Starts the simulation-serving daemon (warm result cache in
-# results/service-cache.jsonl survives restarts). Talk to it with
+# Starts the simulation-serving daemon (its result store in
+# results/service-store/ survives restarts). Talk to it with
 # `bfdn-request` or `sweep --via-service 127.0.0.1:4077`.
 serve:
 	mkdir -p results
 	cargo run --release -p bfdn-service --bin bfdn-serve -- \
-		--addr 127.0.0.1:4077 --spill results/service-cache.jsonl
+		--addr 127.0.0.1:4077 --store-dir results/service-store
 
 # Deterministic load + chaos run against a daemon started with
 # `make serve` (profile: quick|standard|chaos; see README).

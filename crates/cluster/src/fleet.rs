@@ -28,9 +28,10 @@ use bfdn_obs::tracing::parse_hex16;
 use bfdn_obs::FleetAggregator;
 use bfdn_service::client::Client;
 use bfdn_service::protocol::TracePayload;
+use bfdn_service::server::serve_http;
 use bfdn_service::stitch::{stitch, to_chrome_json, ProcessSpans};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -175,7 +176,9 @@ pub fn spawn(config: FleetConfig) -> io::Result<FleetHandle> {
         let shards = config.shards.clone();
         std::thread::spawn(move || loop {
             match listener.accept() {
-                Ok((stream, _)) => serve_http(stream, &aggregator, &shards, timeout),
+                Ok((stream, _)) => serve_http(stream, |target| {
+                    route(target, &aggregator, &shards, timeout)
+                }),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if stop.load(Ordering::SeqCst) {
                         return;
@@ -194,46 +197,8 @@ pub fn spawn(config: FleetConfig) -> io::Result<FleetHandle> {
     })
 }
 
-/// Answers one HTTP request: `/metrics` (aggregated exposition) or
-/// `/trace/<16-hex-id>` (stitched Chrome trace-event JSON).
-fn serve_http(
-    mut stream: TcpStream,
-    aggregator: &Mutex<FleetAggregator>,
-    shards: &[String],
-    timeout: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 4096 {
-                    break;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let request_line = String::from_utf8_lossy(&head);
-    let target = request_line
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split_whitespace()
-        .nth(1)
-        .unwrap_or("")
-        .to_string();
-    let (status, content_type, body) = route(&target, aggregator, shards, timeout);
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
+/// Routes one HTTP request target: `/metrics` (aggregated exposition)
+/// or `/trace/<16-hex-id>` (stitched Chrome trace-event JSON).
 fn route(
     target: &str,
     aggregator: &Mutex<FleetAggregator>,
@@ -282,6 +247,8 @@ mod tests {
     use super::*;
     use bfdn_service::protocol::ExploreSpec;
     use bfdn_service::server::{serve, ServerConfig};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn http_get(addr: SocketAddr, target: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect fleet http");

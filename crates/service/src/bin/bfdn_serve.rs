@@ -3,8 +3,7 @@
 //! ```text
 //! bfdn-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!            [--cache-capacity N] [--cache-shards N]
-//!            [--spill PATH] [--store-dir DIR] [--store-budget-bytes N]
-//!            [--compact-trigger N] [--migrate-spill PATH]
+//!            [--store-dir DIR] [--store-budget-bytes N] [--compact-trigger N]
 //!            [--manifest-dir DIR]
 //!            [--metrics-addr HOST:PORT] [--metrics-scrapers N]
 //!            [--access-log PATH] [--access-log-max-bytes N] [--slow-ms MS]
@@ -25,14 +24,12 @@
 //! directory serves byte-identical results with zero re-executions.
 //! `--store-budget-bytes` hard-caps the resident memory tier (overflow
 //! stays on disk); `--compact-trigger` sets the dead-bytes threshold of
-//! the background compactor; `--migrate-spill PATH` imports a legacy
-//! JSONL spill into the store once at startup. `--spill` is deprecated
-//! when a store is configured (it is imported, not loaded resident).
+//! the background compactor.
 //!
 //! The process serves until a client sends a `shutdown` request, then
-//! drains in-flight jobs (spilling the cache when `--spill` is set) and
-//! exits. Hand-rolled flag parsing — the workspace deliberately carries
-//! no CLI dependency.
+//! drains in-flight jobs (persisting the store's index when
+//! `--store-dir` is set) and exits. Hand-rolled flag parsing — the
+//! workspace deliberately carries no CLI dependency.
 
 use bfdn_service::server::{serve, ServerConfig};
 use std::path::PathBuf;
@@ -64,7 +61,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 let v = value("--cache-shards")?;
                 config.cache.shards = v.parse().map_err(|_| format!("bad --cache-shards `{v}`"))?;
             }
-            "--spill" => config.spill = Some(PathBuf::from(value("--spill")?)),
             "--store-dir" => config.store_dir = Some(PathBuf::from(value("--store-dir")?)),
             "--store-budget-bytes" => {
                 let v = value("--store-budget-bytes")?;
@@ -78,9 +74,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 config.compact_trigger_bytes = v
                     .parse()
                     .map_err(|_| format!("bad --compact-trigger `{v}`"))?;
-            }
-            "--migrate-spill" => {
-                config.migrate_spill = Some(PathBuf::from(value("--migrate-spill")?));
             }
             "--manifest-dir" => config.manifest_dir = Some(PathBuf::from(value("--manifest-dir")?)),
             "--metrics-addr" => config.metrics_addr = Some(value("--metrics-addr")?),
@@ -142,9 +135,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (try --addr --workers --queue-depth \
-                     --cache-capacity --cache-shards --spill --store-dir \
-                     --store-budget-bytes --compact-trigger --migrate-spill \
-                     --manifest-dir \
+                     --cache-capacity --cache-shards --store-dir \
+                     --store-budget-bytes --compact-trigger --manifest-dir \
                      --metrics-addr --metrics-scrapers --access-log \
                      --access-log-max-bytes --slow-ms \
                      --batch-split --read-timeout-ms --trace-out --trace-sample \

@@ -10,36 +10,24 @@
 //!
 //! Entries live in a sharded in-memory LRU (per-shard mutexes keep
 //! worker threads and connection handlers from serializing on one
-//! lock). [`ResultCache::spill_to`] writes every resident payload as
-//! one JSONL line for warm restarts; [`ResultCache::load_from`] reads
-//! such a file back, so a restarted daemon answers yesterday's sweep
-//! without re-simulating.
-//!
-//! Spill files are *revision-aware*: the first line is a header
-//! recording the git revision the daemon ran from, and a warm start
-//! refuses a spill whose recorded revision definitely differs from the
-//! running binary's — results are deterministic in the spec only for a
-//! fixed simulation code base, so entries must not survive a code
-//! change. An unknown revision on either side (e.g. running from an
-//! exported tarball) is accepted, and headerless legacy spills still
-//! load.
+//! lock).
 //!
 //! The cache can additionally be backed by a [`bfdn_store::Store`]
-//! ([`ResultCache::attach_store`]): every `put` writes through to the
-//! log-structured store, and a memory miss falls back to an indexed
-//! disk read before being counted a true miss — a third lookup outcome
-//! (`store_hits`) distinct from both hit and miss. With a store
-//! attached the in-memory tier can also be bounded by a hard
-//! resident-bytes budget: entries are admitted only while the shard
-//! stays under its slice of the budget (evicting LRU first), and
-//! anything not resident is still served byte-identically from disk.
+//! ([`ResultCache::attach_store`]) — the daemon's only persistence:
+//! every `put` writes through to the log-structured store, and a memory
+//! miss falls back to an indexed disk read before being counted a true
+//! miss — a third lookup outcome (`store_hits`) distinct from both hit
+//! and miss. A restart against the same store therefore answers
+//! yesterday's sweep without re-simulating. With a store attached the
+//! in-memory tier can also be bounded by a hard resident-bytes budget:
+//! entries are admitted only while the shard stays under its slice of
+//! the budget (evicting LRU first), and anything not resident is still
+//! served byte-identically from disk.
 
 use crate::protocol::{fnv1a, CacheStatsPayload, ExploreResult, ExploreSpec};
-use bfdn_obs::json::JsonObject;
 use bfdn_store::Store;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufWriter, Write};
-use std::path::Path;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -88,10 +76,8 @@ pub struct ResultCache {
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    spill_loaded: AtomicU64,
     resident_bytes: AtomicU64,
     store_hits: AtomicU64,
-    revision: Option<String>,
     store: Option<Mutex<Store>>,
     /// Per-shard slice of the resident-bytes budget (`Some` only when a
     /// budget was set at [`ResultCache::attach_store`] time). The slices
@@ -101,16 +87,8 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// An empty cache sized by `config`, stamped with the current git
-    /// revision (when discoverable) for revision-aware spill files.
+    /// An empty cache sized by `config`.
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_revision(config, bfdn_obs::git_revision())
-    }
-
-    /// An empty cache with an explicit revision stamp — what spill
-    /// headers are written with and validated against. Tests use this to
-    /// simulate a daemon restarted under different simulation code.
-    pub fn with_revision(config: CacheConfig, revision: Option<String>) -> Self {
         let shards = config.shards.max(1);
         ResultCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -120,10 +98,8 @@ impl ResultCache {
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            spill_loaded: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
-            revision,
             store: None,
             per_shard_budget: None,
         }
@@ -136,9 +112,6 @@ impl ResultCache {
     /// `budget_bytes / shards` payload bytes, evicting LRU entries (or
     /// refusing admission outright for oversized payloads) to stay
     /// under — the overflow remains retrievable from disk.
-    ///
-    /// The store should have been opened with this cache's revision so
-    /// the store's own refusal semantics line up with the spill's.
     pub fn attach_store(&mut self, store: Store, budget_bytes: Option<u64>) {
         self.per_shard_budget = budget_bytes.map(|b| b / self.shards.len() as u64);
         self.store = Some(Mutex::new(store));
@@ -383,7 +356,6 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            spill_loaded: self.spill_loaded.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             segments,
@@ -391,199 +363,14 @@ impl ResultCache {
             compression_ratio,
         }
     }
-
-    /// The revision stamp spill headers are written with.
-    pub fn revision(&self) -> Option<&str> {
-        self.revision.as_deref()
-    }
-
-    /// Writes the spill header followed by every resident payload as one
-    /// JSONL line each (the cache-stable [`ExploreResult::payload_json`]
-    /// form); returns the number of payload lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn spill_to(&self, path: impl AsRef<Path>) -> io::Result<usize> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        let mut header = JsonObject::new();
-        header.str("spill", "bfdn-result-cache");
-        match &self.revision {
-            Some(rev) => header.str("revision", rev),
-            None => header.raw("revision", "null"),
-        };
-        w.write_all(header.finish().as_bytes())?;
-        w.write_all(b"\n")?;
-        let mut lines = 0;
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard");
-            for entry in shard.map.values() {
-                w.write_all(entry.result.payload_json().as_bytes())?;
-                w.write_all(b"\n")?;
-                lines += 1;
-            }
-        }
-        w.flush()?;
-        Ok(lines)
-    }
-
-    /// Loads a spill file, inserting every well-formed line; malformed
-    /// lines are counted, not fatal (a truncated spill from a crashed
-    /// daemon must not brick the restart).
-    ///
-    /// When the file's header records a git revision that definitely
-    /// differs from this cache's, *every* entry is refused: a code
-    /// change invalidates the determinism guarantee the cache relies
-    /// on. Headerless legacy files and unknown revisions (either side)
-    /// load normally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error opening or reading the file.
-    pub fn load_from(&self, path: impl AsRef<Path>) -> io::Result<SpillReport> {
-        let reader = io::BufReader::new(std::fs::File::open(path)?);
-        let mut report = SpillReport::default();
-        let mut first_payload_line = true;
-        let mut refuse = false;
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if first_payload_line {
-                first_payload_line = false;
-                if let Some(header_revision) = parse_spill_header(&line) {
-                    if let (Some(ours), Some(theirs)) = (&self.revision, &header_revision) {
-                        refuse = ours != theirs;
-                        report.revision_mismatch = refuse;
-                    }
-                    continue; // The header is not a payload either way.
-                }
-            }
-            if refuse {
-                report.refused += 1;
-                continue;
-            }
-            match ExploreResult::from_payload_json(&line) {
-                Ok(result) => {
-                    self.put(&result);
-                    self.spill_loaded.fetch_add(1, Ordering::Relaxed);
-                    report.loaded += 1;
-                }
-                Err(_) => report.malformed += 1,
-            }
-        }
-        Ok(report)
-    }
-
-    /// Imports a legacy JSONL spill into the *attached store* (not the
-    /// in-memory tier), with the same revision-refusal and
-    /// malformed-line semantics as [`ResultCache::load_from`]. Returns
-    /// an error when no store is attached.
-    ///
-    /// Re-importing the same spill supersedes the earlier records —
-    /// the duplicates become dead bytes that the next compaction
-    /// reclaims — so running this on every start is safe, if wasteful.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from reading the spill or appending to the
-    /// store, and reports a store-less cache as `InvalidInput`.
-    pub fn import_spill_to_store(&self, path: impl AsRef<Path>) -> io::Result<SpillReport> {
-        let Some(store) = &self.store else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "no result store attached",
-            ));
-        };
-        let mut store = store.lock().expect("result store");
-        migrate_spill(&mut store, path)
-    }
-}
-
-/// Replays a legacy JSONL spill file into `store`, one record per
-/// well-formed payload line, validating the spill header's revision
-/// against the store's stamp exactly like [`ResultCache::load_from`]
-/// does against the cache's. This is the one-shot migration behind
-/// `bfdn-store-admin migrate` and `bfdn-serve --migrate-spill`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from reading the spill or appending to the
-/// store; malformed lines and revision refusals are counted in the
-/// report instead.
-pub fn migrate_spill(store: &mut Store, path: impl AsRef<Path>) -> io::Result<SpillReport> {
-    let reader = io::BufReader::new(std::fs::File::open(path)?);
-    let store_revision = store.revision().map(String::from);
-    let mut report = SpillReport::default();
-    let mut first_payload_line = true;
-    let mut refuse = false;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if first_payload_line {
-            first_payload_line = false;
-            if let Some(header_revision) = parse_spill_header(&line) {
-                if let (Some(ours), Some(theirs)) = (&store_revision, &header_revision) {
-                    refuse = ours != theirs;
-                    report.revision_mismatch = refuse;
-                }
-                continue;
-            }
-        }
-        if refuse {
-            report.refused += 1;
-            continue;
-        }
-        // Parse before appending: only payloads the running build can
-        // serve belong in the store.
-        match ExploreResult::from_payload_json(&line) {
-            Ok(result) => {
-                let mut normalized = result;
-                normalized.cached = false;
-                store.put(&normalized.spec.canonical(), &normalized.payload_json())?;
-                report.loaded += 1;
-            }
-            Err(_) => report.malformed += 1,
-        }
-    }
-    Ok(report)
-}
-
-/// Recognizes a spill header line; returns its recorded revision
-/// (`Some(None)` for an explicit `null`) or `None` when the line is not
-/// a header.
-fn parse_spill_header(line: &str) -> Option<Option<String>> {
-    let v = crate::jsonval::Json::parse(line).ok()?;
-    match v.get("spill").and_then(crate::jsonval::Json::as_str) {
-        Some("bfdn-result-cache") => Some(
-            v.get("revision")
-                .and_then(crate::jsonval::Json::as_str)
-                .map(String::from),
-        ),
-        _ => None,
-    }
-}
-
-/// What [`ResultCache::load_from`] found in a spill file.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SpillReport {
-    /// Lines successfully parsed and inserted.
-    pub loaded: usize,
-    /// Lines skipped as malformed.
-    pub malformed: usize,
-    /// Entries refused because the spill's revision differs from ours.
-    pub refused: usize,
-    /// `true` when the header named a different git revision.
-    pub revision_mismatch: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migrate::{migrate_spill, SpillReport};
     use crate::protocol::MetricsPayload;
+    use std::path::Path;
 
     fn result_for(seed: u64) -> ExploreResult {
         ExploreResult {
@@ -660,88 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join("bfdn_service_cache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spill.jsonl");
-
-        let cache = ResultCache::new(CacheConfig::default());
-        for seed in 0..5 {
-            cache.put(&result_for(seed));
-        }
-        assert_eq!(cache.spill_to(&path).unwrap(), 5);
-
-        let warm = ResultCache::new(CacheConfig::default());
-        let report = warm.load_from(&path).unwrap();
-        assert_eq!(
-            report,
-            SpillReport {
-                loaded: 5,
-                ..SpillReport::default()
-            }
-        );
-        assert_eq!(warm.stats().spill_loaded, 5);
-        for seed in 0..5 {
-            let hit = warm.get(&result_for(seed).spec).expect("warm hit");
-            assert_eq!(hit.payload_json(), result_for(seed).payload_json());
-        }
-
-        // A truncated/corrupt line after the header is skipped, the rest
-        // still loads.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (header, payloads) = text.split_once('\n').unwrap();
-        let text = format!("{header}\n{{\"broken\":\n{payloads}");
-        std::fs::write(&path, text).unwrap();
-        let partial = ResultCache::new(CacheConfig::default());
-        let report = partial.load_from(&path).unwrap();
-        assert_eq!(report.malformed, 1);
-        assert_eq!(report.loaded, 5);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spill_from_a_different_revision_is_refused() {
-        let dir = std::env::temp_dir().join("bfdn_service_cache_revision_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spill.jsonl");
-
-        let old = ResultCache::with_revision(CacheConfig::default(), Some("a".repeat(40)));
-        for seed in 0..3 {
-            old.put(&result_for(seed));
-        }
-        assert_eq!(old.spill_to(&path).unwrap(), 3);
-
-        // Same revision: everything loads.
-        let same = ResultCache::with_revision(CacheConfig::default(), Some("a".repeat(40)));
-        let report = same.load_from(&path).unwrap();
-        assert_eq!((report.loaded, report.refused), (3, 0));
-        assert!(!report.revision_mismatch);
-
-        // Different revision: every entry is refused, nothing resident.
-        let changed = ResultCache::with_revision(CacheConfig::default(), Some("b".repeat(40)));
-        let report = changed.load_from(&path).unwrap();
-        assert_eq!((report.loaded, report.refused), (0, 3));
-        assert!(report.revision_mismatch);
-        assert!(changed.is_empty());
-        assert_eq!(changed.stats().spill_loaded, 0);
-
-        // Unknown revision on either side is accepted (tarball builds
-        // must still warm-start their own spills).
-        let unknown = ResultCache::with_revision(CacheConfig::default(), None);
-        assert_eq!(unknown.load_from(&path).unwrap().loaded, 3);
-
-        // A headerless legacy spill still loads.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let legacy: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
-        std::fs::write(&path, legacy).unwrap();
-        let compat = ResultCache::with_revision(CacheConfig::default(), Some("c".repeat(40)));
-        assert_eq!(compat.load_from(&path).unwrap().loaded, 3);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn resident_bytes_follow_inserts_replacements_and_evictions() {
         let cache = ResultCache::new(CacheConfig {
             capacity: 2,
@@ -778,13 +483,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // Capacity 1, one shard: the second put evicts the first from
         // memory, but the write-through keeps it on disk.
-        let mut cache = ResultCache::with_revision(
-            CacheConfig {
-                capacity: 1,
-                shards: 1,
-            },
-            Some("r".repeat(40)),
-        );
+        let mut cache = ResultCache::new(CacheConfig {
+            capacity: 1,
+            shards: 1,
+        });
         cache.attach_store(test_store(&dir, &"r".repeat(40)), None);
         cache.put(&result_for(1));
         cache.put(&result_for(2));
@@ -822,13 +524,10 @@ mod tests {
         let one_payload = result_for(0).payload_json().len() as u64;
         // Budget fits ~3 payloads across 2 shards; flood it with 40.
         let budget = one_payload * 3;
-        let mut cache = ResultCache::with_revision(
-            CacheConfig {
-                capacity: 1024,
-                shards: 2,
-            },
-            Some("r".repeat(40)),
-        );
+        let mut cache = ResultCache::new(CacheConfig {
+            capacity: 1024,
+            shards: 2,
+        });
         cache.attach_store(test_store(&dir, &"r".repeat(40)), Some(budget));
         for seed in 0..40 {
             cache.put(&result_for(seed));
@@ -858,7 +557,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bfdn_service_cache_restart_test");
         let _ = std::fs::remove_dir_all(&dir);
         let rev = "r".repeat(40);
-        let mut first = ResultCache::with_revision(CacheConfig::default(), Some(rev.clone()));
+        let mut first = ResultCache::new(CacheConfig::default());
         first.attach_store(test_store(&dir, &rev), None);
         let mut expected = Vec::new();
         for seed in 0..8 {
@@ -869,7 +568,7 @@ mod tests {
         drop(first);
 
         // "Restart": a brand-new empty cache over the same directory.
-        let mut second = ResultCache::with_revision(CacheConfig::default(), Some(rev.clone()));
+        let mut second = ResultCache::new(CacheConfig::default());
         second.attach_store(test_store(&dir, &rev), None);
         assert!(second.is_empty(), "nothing preloaded into memory");
         for (seed, payload) in expected.iter().enumerate() {
@@ -891,15 +590,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let spill = dir.join("spill.jsonl");
-        let old = ResultCache::with_revision(CacheConfig::default(), Some("a".repeat(40)));
-        for seed in 0..3 {
-            old.put(&result_for(seed));
-        }
-        old.spill_to(&spill).unwrap();
+        let header = |revision: &str| {
+            format!("{{\"spill\":\"bfdn-result-cache\",\"revision\":{revision}}}\n")
+        };
+        let payloads: String = (0..3)
+            .map(|seed| format!("{}\n", result_for(seed).payload_json()))
+            .collect();
+        let rev_a = format!("\"{}\"", "a".repeat(40));
+        let migrate = |fixture: String, store: &mut Store| {
+            std::fs::write(&spill, fixture).unwrap();
+            migrate_spill(store, &spill).unwrap()
+        };
 
         // Foreign revision: the whole spill is refused, store stays empty.
         let mut foreign = test_store(&dir.join("store-b"), &"b".repeat(40));
-        let report = migrate_spill(&mut foreign, &spill).unwrap();
+        let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut foreign);
         assert_eq!((report.loaded, report.refused), (0, 3));
         assert!(report.revision_mismatch);
         assert!(foreign.is_empty());
@@ -907,46 +612,56 @@ mod tests {
         // Matching revision: everything lands, and a second import just
         // supersedes (dead bytes for compaction, not duplicates).
         let mut matching = test_store(&dir.join("store-a"), &"a".repeat(40));
-        let report = migrate_spill(&mut matching, &spill).unwrap();
-        assert_eq!(report.loaded, 3);
-        assert_eq!(matching.len(), 3);
-        let report = migrate_spill(&mut matching, &spill).unwrap();
-        assert_eq!(report.loaded, 3);
-        assert_eq!(matching.len(), 3, "still three live records");
+        for _ in 0..2 {
+            let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut matching);
+            assert_eq!(
+                report,
+                SpillReport {
+                    loaded: 3,
+                    ..SpillReport::default()
+                }
+            );
+            assert_eq!(matching.len(), 3, "three live records");
+        }
         assert!(
             matching.stats().dead_bytes > 0,
             "re-import leaves dead bytes"
         );
 
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn import_spill_to_store_requires_and_uses_the_attached_store() {
-        let dir = std::env::temp_dir().join("bfdn_service_cache_import_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spill = dir.join("spill.jsonl");
-        let rev = "r".repeat(40);
-        let source = ResultCache::with_revision(CacheConfig::default(), Some(rev.clone()));
-        for seed in 0..4 {
-            source.put(&result_for(seed));
-        }
-        source.spill_to(&spill).unwrap();
-
-        let storeless = ResultCache::with_revision(CacheConfig::default(), Some(rev.clone()));
-        assert!(storeless.import_spill_to_store(&spill).is_err());
-
-        let mut cache = ResultCache::with_revision(CacheConfig::default(), Some(rev.clone()));
-        cache.attach_store(test_store(&dir.join("store"), &rev), None);
-        let report = cache.import_spill_to_store(&spill).unwrap();
-        assert_eq!(report.loaded, 4);
-        assert!(cache.is_empty(), "import fills the store, not memory");
-        for seed in 0..4 {
+        // The migrated store serves through a cache from disk, not from
+        // memory, byte-identically.
+        drop(matching);
+        let mut cache = ResultCache::new(CacheConfig::default());
+        cache.attach_store(test_store(&dir.join("store-a"), &"a".repeat(40)), None);
+        assert!(cache.is_empty(), "migration fills the store, not memory");
+        for seed in 0..3 {
             let hit = cache.get(&result_for(seed).spec).expect("from store");
             assert_eq!(hit.payload_json(), result_for(seed).payload_json());
         }
-        assert_eq!(cache.stats().store_hits, 4);
+        assert_eq!(cache.stats().store_hits, 3);
+
+        // Unknown revision on either side is accepted: a `null` header,
+        // or a store opened without a revision.
+        let mut any = test_store(&dir.join("store-null"), &"b".repeat(40));
+        let report = migrate(format!("{}{payloads}", header("null")), &mut any);
+        assert_eq!((report.loaded, report.refused), (3, 0));
+        let (mut unstamped, _) =
+            Store::open(bfdn_store::StoreConfig::new(dir.join("store-none"))).expect("open store");
+        let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut unstamped);
+        assert_eq!((report.loaded, report.refused), (3, 0));
+        assert!(!report.revision_mismatch);
+
+        // A headerless file loads.
+        let mut headerless = test_store(&dir.join("store-headerless"), &"c".repeat(40));
+        assert_eq!(migrate(payloads.clone(), &mut headerless).loaded, 3);
+
+        // A corrupt line is counted malformed; the rest still loads.
+        let mut partial = test_store(&dir.join("store-partial"), &"a".repeat(40));
+        let report = migrate(
+            format!("{}{{\"broken\":\n{payloads}", header(&rev_a)),
+            &mut partial,
+        );
+        assert_eq!((report.loaded, report.malformed), (3, 1));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

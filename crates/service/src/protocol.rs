@@ -384,9 +384,9 @@ pub struct ExploreResult {
 
 impl ExploreResult {
     /// Serializes the cache-stable payload: everything except the
-    /// transport-dependent `cached` flag. Spill files and byte-equality
-    /// checks use this form, so a cache hit is literally byte-identical
-    /// to the original computation.
+    /// transport-dependent `cached` flag. The result store and
+    /// byte-equality checks use this form, so a cache hit is literally
+    /// byte-identical to the original computation.
     pub fn payload_json(&self) -> String {
         let mut o = JsonObject::new();
         o.raw("spec", &self.spec.to_json_value())
@@ -421,7 +421,7 @@ impl ExploreResult {
         Self::from_payload_value(p, cached)
     }
 
-    /// Decodes a bare payload object (as spilled to disk) into a result
+    /// Decodes a bare payload object (as kept in the store) into a result
     /// with the given `cached` flag.
     pub(crate) fn from_payload_value(p: &Json, cached: bool) -> Result<Self, WireError> {
         let spec = p
@@ -453,7 +453,8 @@ impl ExploreResult {
         })
     }
 
-    /// Parses one spill-file line (a bare payload object).
+    /// Parses one bare payload object, as read back from the store or a
+    /// legacy spill line.
     pub(crate) fn from_payload_json(line: &str) -> Result<Self, WireError> {
         let v = Json::parse(line).map_err(|e| WireError::bad_request(e.to_string()))?;
         Self::from_payload_value(&v, false)
@@ -625,12 +626,10 @@ pub struct CacheStatsPayload {
     pub hits: u64,
     /// Lookup misses.
     pub misses: u64,
-    /// Entries inserted (spill loads included).
+    /// Entries inserted (store re-admissions included).
     pub insertions: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Entries warm-loaded from a spill file over the cache's lifetime.
-    pub spill_loaded: u64,
     /// Approximate bytes of resident payload JSON across all shards.
     pub resident_bytes: u64,
     /// Lookups answered from the on-disk result store (a third outcome,
@@ -655,7 +654,6 @@ impl CacheStatsPayload {
             .u64("misses", self.misses)
             .u64("insertions", self.insertions)
             .u64("evictions", self.evictions)
-            .u64("spill_loaded", self.spill_loaded)
             .u64("resident_bytes", self.resident_bytes)
             .u64("store_hits", self.store_hits)
             .u64("segments", self.segments)
@@ -674,8 +672,9 @@ impl CacheStatsPayload {
             insertions: require_u64(v, "insertions")?,
             evictions: require_u64(v, "evictions")?,
             // Absent on pre-telemetry peers: default rather than reject,
-            // so a new client can still read an old daemon's stats.
-            spill_loaded: v.get("spill_loaded").and_then(Json::as_u64).unwrap_or(0),
+            // so a new client can still read an old daemon's stats. Keys
+            // an old daemon sends that this payload no longer carries are
+            // ignored.
             resident_bytes: v.get("resident_bytes").and_then(Json::as_u64).unwrap_or(0),
             store_hits: v.get("store_hits").and_then(Json::as_u64).unwrap_or(0),
             segments: v.get("segments").and_then(Json::as_u64).unwrap_or(0),
@@ -1235,7 +1234,6 @@ mod tests {
                 misses: 3,
                 insertions: 3,
                 evictions: 0,
-                spill_loaded: 1,
                 resident_bytes: 2048,
                 store_hits: 4,
                 segments: 2,
@@ -1250,6 +1248,22 @@ mod tests {
             let json = resp.to_json();
             assert_eq!(Response::from_json(&json).unwrap(), resp, "{json}");
         }
+    }
+
+    #[test]
+    fn stats_from_a_daemon_that_still_reports_spill_loads_decode() {
+        let stats = Response::CacheStats(CacheStatsPayload {
+            entries: 3,
+            hits: 2,
+            evictions: 1,
+            store_hits: 4,
+            ..CacheStatsPayload::default()
+        });
+        let json = stats.to_json();
+        let old = json.replace(r#""evictions":1,"#, r#""evictions":1,"spill_loaded":7,"#);
+        assert_ne!(old, json, "fixture carries the retired key");
+        assert_eq!(Response::from_json(&old).unwrap(), stats, "{old}");
+        assert_eq!(Response::from_json(&json).unwrap(), stats, "{json}");
     }
 
     #[test]

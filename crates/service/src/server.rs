@@ -13,8 +13,9 @@
 //! lands in the cache before its reply is sent.
 //!
 //! [`Request::Shutdown`] answers [`Response::Bye`], stops accepting new
-//! work, drains the queue and in-flight jobs, optionally spills the
-//! cache for a warm restart, and lets [`ServerHandle::join`] return.
+//! work, drains the queue and in-flight jobs, persists the result
+//! store's index when one is attached, and lets [`ServerHandle::join`]
+//! return.
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::client::Client;
@@ -49,13 +50,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
-    /// When set, the cache is warm-loaded from this JSONL file at
-    /// startup and spilled back on graceful shutdown. Deprecated in
-    /// favour of `store_dir`: when both are set the spill is imported
-    /// into the store at startup instead of being loaded resident, and
-    /// nothing is spilled back on shutdown (the store already has
-    /// everything).
-    pub spill: Option<PathBuf>,
     /// When set, the cache is backed by a log-structured compressed
     /// result store in this directory: every executed result is written
     /// through, a memory miss falls back to an indexed disk read (the
@@ -71,10 +65,6 @@ pub struct ServerConfig {
     /// Dead (superseded) bytes in the store that trigger a background
     /// compaction pass.
     pub compact_trigger_bytes: u64,
-    /// One-shot migration: import this legacy JSONL spill into the
-    /// store at startup (requires `store_dir`), printing how many
-    /// records were imported or refused.
-    pub migrate_spill: Option<PathBuf>,
     /// When set, every executed job also writes its run manifest as
     /// `<content-hash>.manifest.json` under this directory.
     pub manifest_dir: Option<PathBuf>,
@@ -141,11 +131,9 @@ impl Default for ServerConfig {
             workers: None,
             queue_depth: 64,
             cache: CacheConfig::default(),
-            spill: None,
             store_dir: None,
             store_budget_bytes: None,
             compact_trigger_bytes: 8 * 1024 * 1024,
-            migrate_spill: None,
             manifest_dir: None,
             metrics_addr: None,
             access_log: None,
@@ -527,7 +515,6 @@ pub struct ServerHandle {
     profiler: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
     profile_out: Option<PathBuf>,
-    spill: Option<PathBuf>,
 }
 
 impl ServerHandle {
@@ -549,7 +536,7 @@ impl ServerHandle {
     }
 
     /// Waits for the accept loop and workers to finish draining, then
-    /// spills the cache when configured.
+    /// persists the result store's index when one is attached.
     ///
     /// Only returns once a shutdown was requested (by frame or by
     /// [`ServerHandle::shutdown`]); every in-flight job completes and
@@ -580,28 +567,9 @@ impl ServerHandle {
         if self.shared.cache.has_store() {
             // The store already holds every executed result; persisting
             // its index makes the next open instant instead of a
-            // segment scan. The legacy spill write is skipped — a
-            // budget-bounded memory tier would spill an incomplete
-            // snapshot anyway.
+            // segment scan.
             self.shared.cache.persist_store_index()?;
             eprintln!("bfdn-serve: persisted result-store index");
-        } else if let Some(path) = &self.spill {
-            let tracer = &self.shared.tracer;
-            let spill_start = tracer.now_ns();
-            let spilled = self.shared.cache.spill_to(path)?;
-            // The spill belongs to no request, so it roots its own
-            // one-span trace in the timeline.
-            let trace = tracer.next_id();
-            let duration = tracer.now_ns().saturating_sub(spill_start);
-            tracer.record(
-                SpanRecord::new(trace, tracer.next_id(), 0, "cache_spill")
-                    .at(spill_start, duration)
-                    .attr_u64("entries", spilled as u64),
-            );
-            eprintln!(
-                "bfdn-serve: spilled {spilled} cache entries to {}",
-                path.display()
-            );
         }
         if let Err(e) = self.shared.tracer.close() {
             eprintln!("bfdn-serve: trace export failed: {e}");
@@ -614,12 +582,12 @@ fn worker_panic() -> io::Error {
     io::Error::other("a server thread panicked")
 }
 
-/// Binds the listener, warm-loads the cache when configured, and spawns
-/// the accept loop plus the worker pool.
+/// Binds the listener, opens the result store when configured, and
+/// spawns the accept loop plus the worker pool.
 ///
 /// # Errors
 ///
-/// Propagates the bind / spill-load I/O error.
+/// Propagates the bind / store-open I/O error.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -629,7 +597,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let mut cache = ResultCache::new(config.cache);
     if let Some(dir) = &config.store_dir {
         let mut store_config = bfdn_store::StoreConfig::new(dir);
-        store_config.revision = cache.revision().map(String::from);
+        store_config.revision = bfdn_obs::git_revision();
         store_config.compact_trigger_bytes = config.compact_trigger_bytes.max(1);
         let (store, report) = bfdn_store::Store::open(store_config)?;
         if report.revision_mismatch {
@@ -662,58 +630,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
             io::ErrorKind::InvalidInput,
             "--store-budget-bytes requires --store-dir (overflow must have somewhere to live)",
         ));
-    }
-    if let Some(path) = &config.migrate_spill {
-        if !cache.has_store() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--migrate-spill requires --store-dir",
-            ));
-        }
-        let report = cache.import_spill_to_store(path)?;
-        eprintln!(
-            "bfdn-serve: migrated spill {}: {} imported, {} refused{}, {} malformed",
-            path.display(),
-            report.loaded,
-            report.refused,
-            if report.revision_mismatch {
-                " (revision mismatch)"
-            } else {
-                ""
-            },
-            report.malformed
-        );
-    }
-    if let Some(path) = &config.spill {
-        if cache.has_store() {
-            // Legacy flag alongside the store: keep it working by
-            // importing into the store instead of loading resident.
-            if path.exists() {
-                let report = cache.import_spill_to_store(path)?;
-                eprintln!(
-                    "bfdn-serve: --spill is deprecated with --store-dir; imported {} entries from {} into the store ({} refused)",
-                    report.loaded,
-                    path.display(),
-                    report.refused
-                );
-            }
-        } else if path.exists() {
-            let report = cache.load_from(path)?;
-            if report.revision_mismatch {
-                eprintln!(
-                    "bfdn-serve: spill {} was written by another revision — {} entries refused, starting cold",
-                    path.display(),
-                    report.refused
-                );
-            } else {
-                eprintln!(
-                    "bfdn-serve: warm start with {} cached results from {} ({} malformed lines skipped)",
-                    report.loaded,
-                    path.display(),
-                    report.malformed
-                );
-            }
-        }
     }
     if let Some(dir) = &config.manifest_dir {
         std::fs::create_dir_all(dir)?;
@@ -822,7 +738,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         profiler,
         compactor,
         profile_out: config.profile_out,
-        spill: config.spill,
     })
 }
 
@@ -915,11 +830,36 @@ fn metrics_http_loop(
     }
 }
 
-/// One scrape: read the request head, answer, close.
-fn serve_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) {
+/// One scrape: only `/metrics` is served here.
+fn serve_metrics_http(stream: TcpStream, shared: &Arc<Shared>) {
+    serve_http(stream, |target| {
+        if target == "/metrics" || target.starts_with("/metrics?") {
+            (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                shared.render_metrics(),
+            )
+        } else {
+            (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "only /metrics is served here\n".to_string(),
+            )
+        }
+    });
+}
+
+/// Answers one plain-HTTP request on `stream`: reads the request head
+/// (a scrape has no body worth waiting for), hands the request target
+/// to `route` for its `(status, content type, body)`, writes a
+/// `Connection: close` response and drops the socket. A read error or
+/// timeout before the head completes drops the socket unanswered.
+pub fn serve_http(
+    mut stream: TcpStream,
+    route: impl FnOnce(&str) -> (&'static str, &'static str, String),
+) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    // Read until the end of the request head (or the 4 KiB cap — a
-    // scrape has no body worth waiting for).
+    // Read until the end of the request head or the 4 KiB cap.
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     loop {
@@ -942,19 +882,7 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) {
         .split_whitespace()
         .nth(1)
         .unwrap_or("");
-    let (status, content_type, body) = if target == "/metrics" || target.starts_with("/metrics?") {
-        (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            shared.render_metrics(),
-        )
-    } else {
-        (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "only /metrics is served here\n".to_string(),
-        )
-    };
+    let (status, content_type, body) = route(target);
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()

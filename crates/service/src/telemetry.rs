@@ -79,7 +79,6 @@ pub struct ServiceMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
-    cache_spill_loaded: Arc<Counter>,
     cache_entries: Arc<Gauge>,
     cache_resident_bytes: Arc<Gauge>,
     store_hits: Arc<Counter>,
@@ -223,11 +222,6 @@ impl ServiceMetrics {
             cache_evictions: registry.counter(
                 "bfdn_cache_evictions_total",
                 "Entries evicted by the sharded LRU.",
-                &[],
-            ),
-            cache_spill_loaded: registry.counter(
-                "bfdn_cache_spill_loaded_total",
-                "Entries warm-loaded from a spill file at startup.",
                 &[],
             ),
             cache_entries: registry.gauge(
@@ -534,7 +528,6 @@ impl ServiceMetrics {
         self.cache_hits.force_set(cache.hits);
         self.cache_misses.force_set(cache.misses);
         self.cache_evictions.force_set(cache.evictions);
-        self.cache_spill_loaded.force_set(cache.spill_loaded);
         self.cache_entries.set(cache.entries as f64);
         self.cache_resident_bytes.set(cache.resident_bytes as f64);
         self.store_hits.force_set(cache.store_hits);
@@ -846,7 +839,6 @@ mod tests {
             misses: 5,
             insertions: 5,
             evictions: 2,
-            spill_loaded: 1,
             resident_bytes: 2048,
             store_hits: 6,
             segments: 2,
@@ -857,7 +849,6 @@ mod tests {
         assert!(text.contains("bfdn_cache_hits_total 10"));
         assert!(text.contains("bfdn_cache_misses_total 5"));
         assert!(text.contains("bfdn_cache_evictions_total 2"));
-        assert!(text.contains("bfdn_cache_spill_loaded_total 1"));
         assert!(text.contains("bfdn_cache_entries 3"));
         assert!(text.contains("bfdn_cache_resident_bytes 2048"));
         assert!(text.contains("bfdn_queue_depth 7"));

@@ -582,44 +582,6 @@ fn client_hangup_still_closes_the_request_span() {
 }
 
 #[test]
-fn spill_warm_starts_a_fresh_server() {
-    let dir = std::env::temp_dir().join("bfdn_service_e2e_spill");
-    std::fs::create_dir_all(&dir).unwrap();
-    let spill = dir.join("cache.jsonl");
-    let _ = std::fs::remove_file(&spill);
-
-    let spec = ExploreSpec::new("cte", "binary", 120, 4, 3);
-
-    // First server computes and spills on shutdown.
-    let handle = start(ServerConfig {
-        spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&handle);
-    let cold = client.explore(spec.clone()).expect("cold run");
-    assert!(!cold.cached);
-    client.shutdown().expect("bye");
-    handle.join().expect("clean drain");
-    assert!(spill.exists(), "shutdown spilled the cache");
-
-    // Second server answers the same spec from the warm-loaded cache.
-    let handle = start(ServerConfig {
-        spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&handle);
-    let warm = client.explore(spec).expect("warm run");
-    assert!(warm.cached, "answered from the spill file");
-    assert_eq!(warm.payload_json(), cold.payload_json());
-    let status = client.status().expect("status");
-    assert_eq!(status.completed, 0, "nothing was re-simulated");
-    client.shutdown().expect("bye");
-    handle.join().expect("clean drain");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn traced_peer_fill_spans_both_shards_and_stitches_into_one_tree() {
     use bfdn_service::stitch::{stitch, ProcessSpans};
 

@@ -1,12 +1,15 @@
 //! End-to-end tests of the store-backed daemon: a restart against a
 //! populated store serves byte-identically with zero re-executions, a
 //! crash-truncated segment tail is tolerated (never fatal), a legacy
-//! spill migrates into the store, and the resident-bytes budget holds
-//! under load while overflow stays retrievable.
+//! spill migrated offline into the store serves from disk, and the
+//! resident-bytes budget holds under load while overflow stays
+//! retrievable.
 
 use bfdn_service::client::Client;
+use bfdn_service::migrate_spill;
 use bfdn_service::protocol::ExploreSpec;
 use bfdn_service::server::{serve, ServerConfig, ServerHandle};
+use bfdn_store::{Store, StoreConfig};
 use std::path::Path;
 use std::time::Duration;
 
@@ -162,24 +165,25 @@ fn legacy_spill_migrates_into_the_store() {
     let spill = dir.join("cache.jsonl");
     let store = dir.join("store");
 
-    // A store-less server writes the legacy spill on shutdown.
-    let handle = start(ServerConfig {
-        spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
+    // A store-less server computes the spec; its cache-stable payload
+    // is exactly one line of a headerless legacy spill.
+    let handle = start(ServerConfig::default());
     let mut client = connect(&handle);
     let cold = client.explore(spec_for(9)).expect("cold");
+    assert!(!cold.cached);
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
-    assert!(spill.exists());
+    std::fs::write(&spill, format!("{}\n", cold.payload_json())).unwrap();
 
-    // A store-backed server imports it once at startup and serves the
-    // spec from disk without re-executing.
-    let handle = start(ServerConfig {
-        store_dir: Some(store.clone()),
-        migrate_spill: Some(spill.clone()),
-        ..ServerConfig::default()
-    });
+    // The offline migration imports it into a store directory ...
+    let (mut opened, _) = Store::open(StoreConfig::new(&store)).expect("open store");
+    let report = migrate_spill(&mut opened, &spill).expect("migrate");
+    assert_eq!((report.loaded, report.refused, report.malformed), (1, 0, 0));
+    drop(opened);
+
+    // ... and a store-backed server serves the spec from disk without
+    // re-executing.
+    let handle = start(store_config(&store));
     let mut client = connect(&handle);
     let warm = client.explore(spec_for(9)).expect("warm");
     assert!(warm.cached, "served from the migrated store");

@@ -3,9 +3,9 @@
 //!
 //! The daemon's content-addressed cache is what lets one execution of a
 //! spec (Theorem 1's `2n/k + O(D² · min(log D, log k))` rounds) serve
-//! every repeat request; this crate is its persistence layer, replacing
-//! the flat JSONL spill that had to be replayed line-by-line — and
-//! loaded fully resident — on every restart. Three pieces:
+//! every repeat request; this crate is its only persistence layer,
+//! served from disk on restart without loading anything resident.
+//! Three pieces:
 //!
 //! - [`codec`]: a self-contained LZ block codec using the
 //!   compress-with-uncompressed-size-header pattern, CRC-32 checked
@@ -19,8 +19,7 @@
 //!   records into fresh segments.
 //! - Revision refusal: a store stamped by a different known git
 //!   revision is refused wholesale (results are byte-stable only
-//!   within one build), mirroring the legacy spill's
-//!   `revision_mismatch` semantics.
+//!   within one build), reported as `revision_mismatch`.
 //!
 //! Records are opaque `key → payload` strings: this crate knows nothing
 //! about specs or results. The service layer keys by

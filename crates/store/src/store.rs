@@ -30,8 +30,7 @@
 //! `meta.json` records the git revision that wrote the store. Opening
 //! with a *different known* revision refuses every record (results are
 //! only byte-stable within one build) and restarts the directory cold;
-//! unknown revisions on either side are accepted, mirroring the legacy
-//! JSONL spill semantics.
+//! unknown revisions on either side are accepted.
 
 use crate::codec::{self, Record};
 use std::collections::{BTreeMap, HashMap};
