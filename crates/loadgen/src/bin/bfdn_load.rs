@@ -7,7 +7,7 @@
 //!           [--resident-budget BYTES]
 //!           [--cluster-shards N --shard-bin PATH [--base-port P]
 //!            [--kill-shard IDX [--kill-at-ms MS] [--restart-after-ms MS]]
-//!            [--fleet-metrics HOST:PORT] [--shard-profile-dir DIR]]
+//!            [--fleet-metrics HOST:PORT]]
 //! ```
 //!
 //! The request sequence is a pure function of `(profile, seed)`; the
@@ -35,10 +35,7 @@
 //! With `--fleet-metrics` the harness also runs the federated fleet
 //! collector over the shards for the storm's duration and reads the
 //! aggregated endpoint back into the report (`cluster.fleet`): shards
-//! up, fleet-worst bound margin, summed bound violations. With
-//! `--shard-profile-dir` every spawned shard writes its sampled worker
-//! profile to `DIR/shard-<i>.folded` (inferno/flamegraph input) on
-//! drain.
+//! up, fleet-worst bound margin, summed bound violations.
 //!
 //! The `flood` profile is the cache-busting storm: every flood spec is
 //! unique within the run, sized to overflow a daemon running with
@@ -76,7 +73,6 @@ struct Invocation {
     kill_at_ms: u64,
     restart_after_ms: Option<u64>,
     fleet_metrics: Option<String>,
-    shard_profile_dir: Option<String>,
     resident_budget: Option<u64>,
 }
 
@@ -94,7 +90,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
         kill_at_ms: 500,
         restart_after_ms: None,
         fleet_metrics: None,
-        shard_profile_dir: None,
         resident_budget: None,
     };
     let mut it = args.into_iter();
@@ -152,16 +147,13 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
                 );
             }
             "--fleet-metrics" => invocation.fleet_metrics = Some(value("--fleet-metrics")?),
-            "--shard-profile-dir" => {
-                invocation.shard_profile_dir = Some(value("--shard-profile-dir")?);
-            }
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (try --addr --profile --seed \
                      --report-json --metrics-http --resident-budget \
                      --cluster-shards --shard-bin \
                      --base-port --kill-shard --kill-at-ms --restart-after-ms \
-                     --fleet-metrics --shard-profile-dir)"
+                     --fleet-metrics)"
                 ))
             }
         }
@@ -174,12 +166,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     {
         return Err("--shard-bin/--kill-shard only make sense with --cluster-shards".into());
     }
-    if invocation.cluster_shards.is_none()
-        && (invocation.fleet_metrics.is_some() || invocation.shard_profile_dir.is_some())
-    {
-        return Err(
-            "--fleet-metrics/--shard-profile-dir only make sense with --cluster-shards".into(),
-        );
+    if invocation.cluster_shards.is_none() && invocation.fleet_metrics.is_some() {
+        return Err("--fleet-metrics only makes sense with --cluster-shards".into());
     }
     if invocation.cluster_shards.is_some() && invocation.profile == Profile::Flood {
         return Err(
@@ -220,9 +208,6 @@ fn run_cluster(
         })
         .collect();
 
-    if let Some(dir) = &invocation.shard_profile_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("--shard-profile-dir {dir}: {e}"))?;
-    }
     let mut shards: Vec<ChildShard> = Vec::with_capacity(count);
     for (i, addr) in addrs.iter().enumerate() {
         let peers: Vec<String> = addrs
@@ -231,7 +216,7 @@ fn run_cluster(
             .filter(|&(j, _)| j != i)
             .map(|(_, a)| a.clone())
             .collect();
-        let mut args = vec![
+        let args = vec![
             "--addr".to_string(),
             addr.clone(),
             "--metrics-addr".to_string(),
@@ -239,10 +224,6 @@ fn run_cluster(
             "--peers".to_string(),
             peers.join(","),
         ];
-        if let Some(dir) = &invocation.shard_profile_dir {
-            args.push("--profile-out".to_string());
-            args.push(format!("{dir}/shard-{i}.folded"));
-        }
         match ChildShard::spawn(bin, &args, addr) {
             Ok(shard) => shards.push(shard),
             Err(e) => {

@@ -4,19 +4,17 @@
 //! bfdn-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!            [--cache-capacity N] [--cache-shards N]
 //!            [--store-dir DIR] [--store-budget-bytes N] [--compact-trigger N]
-//!            [--manifest-dir DIR]
-//!            [--metrics-addr HOST:PORT] [--metrics-scrapers N]
-//!            [--access-log PATH] [--access-log-max-bytes N] [--slow-ms MS]
+//!            [--metrics-addr HOST:PORT]
+//!            [--access-log PATH] [--access-log-max-bytes N]
 //!            [--batch-split N] [--read-timeout-ms MS]
-//!            [--trace-out PATH] [--trace-sample N]
-//!            [--peers HOST:PORT,HOST:PORT,...] [--peer-timeout-ms MS]
-//!            [--profile-interval-ms MS] [--profile-out PATH]
+//!            [--trace-out PATH]
+//!            [--peers HOST:PORT,HOST:PORT,...]
 //! ```
 //!
 //! `--peers` lists the *other* shards of a cluster; with it set, a
 //! local cache miss asks each peer for its cached result (bounded by
-//! `--peer-timeout-ms` per probe) before executing, so a spec is
-//! computed once cluster-wide and then copied.
+//! 250 ms per probe) before executing, so a spec is computed once
+//! cluster-wide and then copied.
 //!
 //! `--store-dir` backs the cache with the log-structured compressed
 //! result store: executed results are written through, memory misses
@@ -75,13 +73,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                     .parse()
                     .map_err(|_| format!("bad --compact-trigger `{v}`"))?;
             }
-            "--manifest-dir" => config.manifest_dir = Some(PathBuf::from(value("--manifest-dir")?)),
             "--metrics-addr" => config.metrics_addr = Some(value("--metrics-addr")?),
             "--access-log" => config.access_log = Some(PathBuf::from(value("--access-log")?)),
-            "--slow-ms" => {
-                let v = value("--slow-ms")?;
-                config.slow_request_ms = v.parse().map_err(|_| format!("bad --slow-ms `{v}`"))?;
-            }
             "--batch-split" => {
                 let v = value("--batch-split")?;
                 let n: usize = v.parse().map_err(|_| format!("bad --batch-split `{v}`"))?;
@@ -94,17 +87,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                     .map_err(|_| format!("bad --read-timeout-ms `{v}`"))?;
             }
             "--trace-out" => config.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--trace-sample" => {
-                let v = value("--trace-sample")?;
-                config.trace_sample = v.parse().map_err(|_| format!("bad --trace-sample `{v}`"))?;
-            }
-            "--metrics-scrapers" => {
-                let v = value("--metrics-scrapers")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --metrics-scrapers `{v}`"))?;
-                config.metrics_scrapers = n.max(1);
-            }
             "--peers" => {
                 config.peers = value("--peers")?
                     .split(',')
@@ -113,35 +95,19 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                     .map(str::to_string)
                     .collect();
             }
-            "--peer-timeout-ms" => {
-                let v = value("--peer-timeout-ms")?;
-                config.peer_timeout_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --peer-timeout-ms `{v}`"))?;
-            }
             "--access-log-max-bytes" => {
                 let v = value("--access-log-max-bytes")?;
                 config.access_log_max_bytes = v
                     .parse()
                     .map_err(|_| format!("bad --access-log-max-bytes `{v}`"))?;
             }
-            "--profile-interval-ms" => {
-                let v = value("--profile-interval-ms")?;
-                config.profile_interval_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --profile-interval-ms `{v}`"))?;
-            }
-            "--profile-out" => config.profile_out = Some(PathBuf::from(value("--profile-out")?)),
             other => {
                 return Err(format!(
                     "unknown flag `{other}` (try --addr --workers --queue-depth \
                      --cache-capacity --cache-shards --store-dir \
-                     --store-budget-bytes --compact-trigger --manifest-dir \
-                     --metrics-addr --metrics-scrapers --access-log \
-                     --access-log-max-bytes --slow-ms \
-                     --batch-split --read-timeout-ms --trace-out --trace-sample \
-                     --peers --peer-timeout-ms \
-                     --profile-interval-ms --profile-out)"
+                     --store-budget-bytes --compact-trigger \
+                     --metrics-addr --access-log --access-log-max-bytes \
+                     --batch-split --read-timeout-ms --trace-out --peers)"
                 ))
             }
         }
@@ -174,4 +140,68 @@ fn main() -> ExitCode {
     }
     eprintln!("bfdn-serve: drained, bye");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    /// Every flag `bfdn-serve` accepts, each with a value `parse` takes.
+    const KEPT: [(&str, &str); 15] = [
+        ("--addr", "127.0.0.1:0"),
+        ("--workers", "2"),
+        ("--queue-depth", "8"),
+        ("--cache-capacity", "16"),
+        ("--cache-shards", "2"),
+        ("--store-dir", "store"),
+        ("--store-budget-bytes", "4096"),
+        ("--compact-trigger", "1024"),
+        ("--metrics-addr", "127.0.0.1:0"),
+        ("--access-log", "access.jsonl"),
+        ("--access-log-max-bytes", "4096"),
+        ("--batch-split", "4"),
+        ("--read-timeout-ms", "100"),
+        ("--trace-out", "trace.json"),
+        ("--peers", "127.0.0.1:1,127.0.0.1:2"),
+    ];
+
+    const REMOVED: [&str; 7] = [
+        "--manifest-dir",
+        "--metrics-scrapers",
+        "--slow-ms",
+        "--trace-sample",
+        "--peer-timeout-ms",
+        "--profile-interval-ms",
+        "--profile-out",
+    ];
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn accepts_every_kept_flag() {
+        for (flag, value) in KEPT {
+            assert!(parse(args(&[flag, value])).is_ok(), "{flag} rejected");
+        }
+    }
+
+    #[test]
+    fn rejects_every_removed_flag() {
+        for flag in REMOVED {
+            let err = parse(args(&[flag, "1"])).expect_err(flag);
+            assert!(err.starts_with(&format!("unknown flag `{flag}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flag_hint_lists_exactly_the_kept_flags() {
+        let err = parse(args(&["--bogus"])).unwrap_err();
+        let hint: Vec<&str> = err
+            .split(|c: char| c.is_whitespace() || c == '(' || c == ')')
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let kept: Vec<&str> = KEPT.iter().map(|(flag, _)| *flag).collect();
+        assert_eq!(hint, kept);
+    }
 }

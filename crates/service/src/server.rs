@@ -25,7 +25,7 @@ use crate::protocol::{
     fnv1a, read_frame, write_frame, ErrorCode, ExploreResult, ExploreSpec, FrameError, Request,
     Response, SpanPayload, StatusPayload, TracePayload, WireError,
 };
-use crate::telemetry::{AccessLog, AccessRecord, ServiceMetrics};
+use crate::telemetry::{AccessLog, AccessRecord, ServiceMetrics, SLOW_REQUEST_NS};
 use bfdn_obs::tracing::{hex16, SpanRecord, SpanRecorder, SpanSink, TraceWriter, Tracer};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -65,9 +65,6 @@ pub struct ServerConfig {
     /// Dead (superseded) bytes in the store that trigger a background
     /// compaction pass.
     pub compact_trigger_bytes: u64,
-    /// When set, every executed job also writes its run manifest as
-    /// `<content-hash>.manifest.json` under this directory.
-    pub manifest_dir: Option<PathBuf>,
     /// When set, a plain-HTTP listener on this address answers
     /// `GET /metrics` with the Prometheus exposition (port 0 picks a
     /// free one), so standard scrapers work without the wire protocol.
@@ -75,9 +72,6 @@ pub struct ServerConfig {
     /// When set, every finished request appends one JSON line (id,
     /// type, spec key, outcome, phase timings) to this file.
     pub access_log: Option<PathBuf>,
-    /// Requests at or above this total latency are stamped slow in the
-    /// access log and counted in `bfdn_slow_requests_total`.
-    pub slow_request_ms: u64,
     /// Batches larger than this are split into cap-sized sub-jobs at
     /// enqueue time, so one huge batch cannot monopolize the queue and
     /// concurrent batch clients interleave chunk by chunk.
@@ -88,18 +82,10 @@ pub struct ServerConfig {
     /// the deadline. The same budget bounds reply writes to peers that
     /// stop reading.
     pub read_timeout_ms: u64,
-    /// Fixed number of threads answering `/metrics` scrapes (the
-    /// listener hands accepted sockets to this pool instead of spawning
-    /// a thread per scrape).
-    pub metrics_scrapers: usize,
     /// When set, every recorded span is also streamed to this file —
     /// JSONL per-span lines, or a Perfetto-loadable Chrome trace-event
     /// array when the path ends in `.json`.
     pub trace_out: Option<PathBuf>,
-    /// Server-assigned trace sampling: every Nth request gets a trace
-    /// even without a client-supplied `trace` id (`0` disables
-    /// sampling). Client-supplied ids are always honoured.
-    pub trace_sample: u64,
     /// Wire addresses of the other shards in this daemon's cluster.
     /// When non-empty, a local cache miss first asks each peer (in a
     /// key-rotated order) for its cached result over
@@ -107,21 +93,10 @@ pub struct ServerConfig {
     /// is computed once and then copied, not recomputed per shard.
     /// Empty (the default) disables peer cache-fill entirely.
     pub peers: Vec<String>,
-    /// Connect *and* read budget for one peer cache-fill probe, in
-    /// milliseconds. A dead or blackholed peer costs at most this much
-    /// per probe before the shard falls back to executing locally.
-    pub peer_timeout_ms: u64,
     /// Rotate the access log to `<path>.1` (keeping one generation)
     /// when a line would push it past this many bytes; `0` (the
     /// default) never rotates.
     pub access_log_max_bytes: u64,
-    /// Sampling interval of the worker-profiling watcher thread in
-    /// milliseconds; `0` disables the watcher (and `--profile-out`).
-    pub profile_interval_ms: u64,
-    /// When set, the cumulative worker phase samples are written to
-    /// this file as folded-stacks text on shutdown, ready for
-    /// `inferno-flamegraph` / `flamegraph.pl`.
-    pub profile_out: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -134,28 +109,25 @@ impl Default for ServerConfig {
             store_dir: None,
             store_budget_bytes: None,
             compact_trigger_bytes: 8 * 1024 * 1024,
-            manifest_dir: None,
             metrics_addr: None,
             access_log: None,
-            slow_request_ms: 1_000,
             batch_split: 32,
             read_timeout_ms: 30_000,
-            metrics_scrapers: 2,
             trace_out: None,
-            trace_sample: 0,
             peers: Vec::new(),
-            peer_timeout_ms: 250,
             access_log_max_bytes: 0,
-            profile_interval_ms: 5,
-            profile_out: None,
         }
     }
 }
 
-/// Worker phase slot values, mirrored by
-/// [`crate::telemetry::WORKER_PHASES`].
-const PHASE_IDLE: u64 = 0;
-const PHASE_EXECUTE: u64 = 1;
+/// Threads answering `/metrics` scrapes: the listener hands accepted
+/// sockets to this fixed pool instead of spawning a thread per scrape.
+const METRICS_SCRAPERS: usize = 2;
+
+/// Connect *and* read budget for one peer cache-fill probe. A dead or
+/// blackholed peer costs at most this much per probe before the shard
+/// falls back to executing locally.
+const PEER_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// An active trace context: the trace id and the span new child spans
 /// should be parented under.
@@ -312,33 +284,33 @@ struct Shared {
     telemetry: ServiceMetrics,
     access_log: Option<AccessLog>,
     tracer: Tracer,
-    trace_sample: u64,
-    slow_ns: u64,
     draining: AtomicBool,
     workers: usize,
-    manifest_dir: Option<PathBuf>,
     batch_split: usize,
     read_timeout_ms: u64,
     /// Cluster peers to ask before executing a local miss (empty: no
     /// peer cache-fill).
     peers: Vec<String>,
-    /// Connect/read budget per peer probe.
-    peer_timeout: Duration,
-    /// Each worker's current phase ([`PHASE_IDLE`] / [`PHASE_EXECUTE`]),
-    /// written by the worker loop and snapshotted by the profiler
-    /// watcher — sampling by shared atomics, no signals.
-    worker_phase: Vec<AtomicU64>,
     started: Instant,
 }
 
 impl Shared {
+    /// The drain condition every background loop exits on: shutdown
+    /// was requested, the queue is empty and no job is in flight.
+    fn drained(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+            && self.queue.depth() == 0
+            && self.counters.in_flight.load(Ordering::SeqCst) == 0
+    }
+
     fn status(&self) -> StatusPayload {
+        let cache = self.cache.stats();
         StatusPayload {
             requests: self.counters.requests.load(Ordering::Relaxed),
             explores: self.counters.explores.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
-            cache_hits: self.cache.stats().hits,
-            cache_misses: self.cache.stats().misses,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             rejects: self.counters.rejects.load(Ordering::Relaxed),
             completed: self.counters.completed.load(Ordering::Relaxed),
             queue_depth: self.queue.depth() as u64,
@@ -400,19 +372,13 @@ impl Shared {
         if let Some(span) = self.span(ctx, "cache_insert", insert_start) {
             self.tracer.record(span);
         }
-        if let Some(dir) = &self.manifest_dir {
-            let path = dir.join(format!("{:016x}.manifest.json", spec.content_hash()));
-            if let Err(e) = manifest.write(&path) {
-                eprintln!("bfdn-serve: cannot write {}: {e}", path.display());
-            }
-        }
         Ok(result)
     }
 
     /// Asks each configured cluster peer for its cached copy of `spec`
     /// before this shard executes it. Peers are probed in a
     /// key-rotated order (so a hot key does not hammer the same peer
-    /// from every shard) with the bounded `peer_timeout` per probe; the
+    /// from every shard) with the bounded [`PEER_TIMEOUT`] per probe; the
     /// first hit is margin-re-checked, counted in
     /// `bfdn_peer_fill_hit_total`, stored locally, and served with
     /// `cached = true`. When every peer misses (or is unreachable) the
@@ -437,10 +403,10 @@ impl Shared {
             else {
                 continue;
             };
-            let Ok(mut client) = Client::connect_timeout(&addr, self.peer_timeout) else {
+            let Ok(mut client) = Client::connect_timeout(&addr, PEER_TIMEOUT) else {
                 continue;
             };
-            if client.set_read_timeout(Some(self.peer_timeout)).is_err() {
+            if client.set_read_timeout(Some(PEER_TIMEOUT)).is_err() {
                 continue;
             }
             // Propagate the request's trace envelope on the PeerFill
@@ -512,9 +478,7 @@ pub struct ServerHandle {
     accept: JoinHandle<()>,
     metrics: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    profiler: Option<JoinHandle<()>>,
     compactor: Option<JoinHandle<()>>,
-    profile_out: Option<PathBuf>,
 }
 
 impl ServerHandle {
@@ -549,20 +513,8 @@ impl ServerHandle {
         for w in self.workers {
             w.join().map_err(|_| worker_panic())?;
         }
-        if let Some(p) = self.profiler {
-            p.join().map_err(|_| worker_panic())?;
-        }
         if let Some(c) = self.compactor {
             c.join().map_err(|_| worker_panic())?;
-        }
-        if let Some(path) = &self.profile_out {
-            let folded = self.shared.telemetry.folded_stacks();
-            std::fs::write(path, &folded)?;
-            eprintln!(
-                "bfdn-serve: wrote {} folded stack frames to {}",
-                folded.lines().count(),
-                path.display()
-            );
         }
         if self.shared.cache.has_store() {
             // The store already holds every executed result; persisting
@@ -631,15 +583,8 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
             "--store-budget-bytes requires --store-dir (overflow must have somewhere to live)",
         ));
     }
-    if let Some(dir) = &config.manifest_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     let access_log = match &config.access_log {
-        Some(path) => Some(AccessLog::open(
-            path,
-            config.slow_request_ms,
-            config.access_log_max_bytes,
-        )?),
+        Some(path) => Some(AccessLog::open(path, config.access_log_max_bytes)?),
         None => None,
     };
     let metrics_listener = match &config.metrics_addr {
@@ -670,16 +615,11 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         telemetry: ServiceMetrics::new(workers),
         access_log,
         tracer,
-        trace_sample: config.trace_sample,
-        slow_ns: config.slow_request_ms.saturating_mul(1_000_000),
         draining: AtomicBool::new(false),
         workers,
-        manifest_dir: config.manifest_dir.clone(),
         batch_split: config.batch_split.max(1),
         read_timeout_ms: config.read_timeout_ms,
-        peers: config.peers.clone(),
-        peer_timeout: Duration::from_millis(config.peer_timeout_ms.max(1)),
-        worker_phase: (0..workers).map(|_| AtomicU64::new(PHASE_IDLE)).collect(),
+        peers: config.peers,
         started: Instant::now(),
     });
 
@@ -697,7 +637,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         // load (drops the socket) when the backlog is full.
         let (scrape_tx, scrape_rx) = mpsc::sync_channel::<TcpStream>(SCRAPE_BACKLOG);
         let scrape_rx = Arc::new(Mutex::new(scrape_rx));
-        for _ in 0..config.metrics_scrapers.max(1) {
+        for _ in 0..METRICS_SCRAPERS {
             let shared = Arc::clone(&shared);
             let scrape_rx = Arc::clone(&scrape_rx);
             metrics.push(std::thread::spawn(move || loop {
@@ -714,12 +654,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         }));
     }
 
-    let profiler = (config.profile_interval_ms > 0).then(|| {
-        let shared = Arc::clone(&shared);
-        let interval = Duration::from_millis(config.profile_interval_ms);
-        std::thread::spawn(move || profiler_loop(&shared, interval))
-    });
-
     let compactor = shared.cache.has_store().then(|| {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || store_maintenance_loop(&shared))
@@ -735,9 +669,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         accept,
         metrics,
         workers: worker_handles,
-        profiler,
         compactor,
-        profile_out: config.profile_out,
     })
 }
 
@@ -749,8 +681,8 @@ const STORE_MAINTENANCE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// The background compactor: folds the store's superseded records into
 /// fresh segments whenever its dead-bytes trigger is crossed. Runs one
-/// final pass after the drain condition so a shutdown-time supersede
-/// still gets reclaimed, then exits like the other watcher threads.
+/// final pass after [`Shared::drained`] so a shutdown-time supersede
+/// still gets reclaimed, then exits like the accept loop.
 fn store_maintenance_loop(shared: &Arc<Shared>) {
     loop {
         match shared.cache.maintain_store() {
@@ -764,34 +696,10 @@ fn store_maintenance_loop(shared: &Arc<Shared>) {
             Ok(None) => {}
             Err(e) => eprintln!("bfdn-serve: store compaction failed: {e}"),
         }
-        if shared.draining.load(Ordering::SeqCst)
-            && shared.queue.depth() == 0
-            && shared.counters.in_flight.load(Ordering::SeqCst) == 0
-        {
+        if shared.drained() {
             return;
         }
         std::thread::sleep(STORE_MAINTENANCE_INTERVAL);
-    }
-}
-
-/// The worker-profiling watcher: snapshots every worker's phase slot on
-/// a fixed interval into the state gauges and phase-sample counters.
-/// Pure reads of pre-existing atomics — the workers never see the
-/// profiler, which is why it cannot perturb the SLOs it helps explain.
-/// Exits on the same drain condition as the accept loop.
-fn profiler_loop(shared: &Arc<Shared>, interval: Duration) {
-    loop {
-        for (index, slot) in shared.worker_phase.iter().enumerate() {
-            let phase = slot.load(Ordering::Relaxed) as usize;
-            shared.telemetry.worker_sample(index, phase);
-        }
-        if shared.draining.load(Ordering::SeqCst)
-            && shared.queue.depth() == 0
-            && shared.counters.in_flight.load(Ordering::SeqCst) == 0
-        {
-            return;
-        }
-        std::thread::sleep(interval);
     }
 }
 
@@ -817,10 +725,7 @@ fn metrics_http_loop(
                 let _ = pool.try_send(stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.draining.load(Ordering::SeqCst)
-                    && shared.queue.depth() == 0
-                    && shared.counters.in_flight.load(Ordering::SeqCst) == 0
-                {
+                if shared.drained() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(10));
@@ -901,10 +806,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 std::thread::spawn(move || handle_connection(stream, &shared));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.draining.load(Ordering::SeqCst)
-                    && shared.queue.depth() == 0
-                    && shared.counters.in_flight.load(Ordering::SeqCst) == 0
-                {
+                if shared.drained() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(10));
@@ -941,9 +843,6 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         });
         let exec_start_ns = shared.tracer.now_ns();
         let exec_start = Instant::now();
-        if let Some(slot) = shared.worker_phase.get(index) {
-            slot.store(PHASE_EXECUTE, Ordering::Relaxed);
-        }
         let response = match &job.kind {
             JobKind::One(spec) => match shared.execute(spec, exec_ctx) {
                 Ok(result) => Response::Result(Box::new(result)),
@@ -951,12 +850,6 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             },
             JobKind::Batch(specs) => run_batch(shared, specs, exec_ctx),
         };
-        if let Some(slot) = shared.worker_phase.get(index) {
-            slot.store(PHASE_IDLE, Ordering::Relaxed);
-        }
-        // Floor of one execute sample per job: jobs shorter than the
-        // sampling interval stay visible in the folded profile.
-        shared.telemetry.worker_execute_floor(index);
         let exec_ns = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if let Some((c, span)) = exec_span {
             let items = match &job.kind {
@@ -1128,16 +1021,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let response = match decoded {
             Err(e) => Response::Error(e),
             Ok((request, client_trace)) => {
-                // Client-supplied ids are always traced; sampling adds a
-                // server-assigned trace every Nth request on top. The
-                // introspection request itself is never traced — its
-                // envelope id is a filter, echoed but not recorded.
-                let sampled = shared.trace_sample > 0 && id.is_multiple_of(shared.trace_sample);
+                // Only client-supplied ids are traced, and never on the
+                // introspection request itself — its envelope id is a
+                // filter, echoed but not recorded.
                 let active = match request {
                     Request::Trace => None,
-                    _ => client_trace.or_else(|| sampled.then(|| shared.tracer.next_id())),
+                    _ => client_trace,
                 };
-                envelope = client_trace.or(active);
+                envelope = client_trace;
                 root = active.map(|trace| SpanCtx {
                     trace,
                     parent: shared.tracer.next_id(),
@@ -1214,7 +1105,8 @@ fn finish_trace(
         }
         shared.tracer.record(span);
     }
-    if total_ns >= shared.slow_ns {
+    let slow = total_ns >= SLOW_REQUEST_NS;
+    if slow {
         shared
             .telemetry
             .slow_request(log.queue_wait_ns, log.exec_ns, serialize_ns, total_ns);
@@ -1243,6 +1135,7 @@ fn finish_trace(
         exec_ns: log.exec_ns,
         serialize_ns,
         total_ns,
+        slow,
     });
 }
 

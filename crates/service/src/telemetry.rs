@@ -47,10 +47,10 @@ pub const REQUEST_TYPES: [&str; 9] = [
 /// handler scheduling).
 pub const SLOW_PHASES: [&str; 4] = ["queue_wait", "execute", "serialize", "other"];
 
-/// The phases the worker-profiling sampler distinguishes, indexed by the
-/// value a worker stores in its atomic phase slot: `idle` (blocked on
-/// the job queue) and `execute` (running a job).
-pub const WORKER_PHASES: [&str; 2] = ["idle", "execute"];
+/// Requests whose decode-to-reply latency reaches this (1000 ms) are
+/// counted in `bfdn_slow_requests_total` and stamped `"slow":true` in
+/// the access log.
+pub const SLOW_REQUEST_NS: u64 = 1_000_000_000;
 
 /// Margin samples kept in the per-shard bound-margin window ring;
 /// `bfdn_bound_margin_window_worst` is the minimum over this window, so
@@ -93,8 +93,6 @@ pub struct ServiceMetrics {
     store_compactions: Arc<Counter>,
     store_truncated_segments: Arc<Counter>,
     worker_busy: Vec<Arc<Counter>>,
-    worker_state: Vec<Arc<Gauge>>,
-    worker_samples: Vec<Vec<Arc<Counter>>>,
     peer_fill_hits: Arc<Counter>,
     peer_fill_misses: Arc<Counter>,
     bound_checked: Arc<Counter>,
@@ -135,31 +133,6 @@ impl ServiceMetrics {
                     "Nanoseconds each worker spent executing jobs.",
                     &[("worker", index.as_str())],
                 )
-            })
-            .collect();
-        let worker_state = (0..workers)
-            .map(|i| {
-                let index = i.to_string();
-                registry.gauge(
-                    "bfdn_worker_state",
-                    "Each worker's phase at the last profiler sample (0 idle, 1 execute).",
-                    &[("worker", index.as_str())],
-                )
-            })
-            .collect();
-        let worker_samples = (0..workers)
-            .map(|i| {
-                let index = i.to_string();
-                WORKER_PHASES
-                    .iter()
-                    .map(|phase| {
-                        registry.counter(
-                            "bfdn_worker_phase_samples_total",
-                            "Profiler samples per worker and phase (the flamegraph weights).",
-                            &[("worker", index.as_str()), ("phase", phase)],
-                        )
-                    })
-                    .collect()
             })
             .collect();
         ServiceMetrics {
@@ -291,8 +264,6 @@ impl ServiceMetrics {
                 &[],
             ),
             worker_busy,
-            worker_state,
-            worker_samples,
             peer_fill_hits: registry.counter(
                 "bfdn_peer_fill_hit_total",
                 "Local cache misses answered from a cluster peer's cache.",
@@ -402,54 +373,6 @@ impl ServiceMetrics {
         if let Some(c) = self.worker_busy.get(index) {
             c.add(ns);
         }
-    }
-
-    /// Records one profiler sample of worker `index` in `phase` (an
-    /// index into [`WORKER_PHASES`]): sets the state gauge and bumps the
-    /// cumulative phase-sample counter the folded stacks are built from.
-    pub fn worker_sample(&self, index: usize, phase: usize) {
-        if let Some(g) = self.worker_state.get(index) {
-            g.set(phase as f64);
-        }
-        if let Some(c) = self
-            .worker_samples
-            .get(index)
-            .and_then(|phases| phases.get(phase))
-        {
-            c.inc();
-        }
-    }
-
-    /// Credits worker `index` with one `execute` sample without touching
-    /// the state gauge. The worker loop calls this once per job so jobs
-    /// shorter than the sampling interval still appear in the profile —
-    /// a pure sampler would render a cache-hit-heavy daemon as 100%
-    /// idle.
-    pub fn worker_execute_floor(&self, index: usize) {
-        if let Some(c) = self
-            .worker_samples
-            .get(index)
-            .and_then(|phases| phases.get(1))
-        {
-            c.inc();
-        }
-    }
-
-    /// Renders the cumulative phase samples as folded-stacks text
-    /// (`bfdn_serve;worker_<i>;<phase> <samples>`, one line per non-zero
-    /// frame), the input format of `inferno-flamegraph` and
-    /// `flamegraph.pl`.
-    pub fn folded_stacks(&self) -> String {
-        let mut out = String::new();
-        for (index, phases) in self.worker_samples.iter().enumerate() {
-            for (phase, counter) in WORKER_PHASES.iter().zip(phases) {
-                let samples = counter.get();
-                if samples > 0 {
-                    out.push_str(&format!("bfdn_serve;worker_{index};{phase} {samples}\n"));
-                }
-            }
-        }
-        out
     }
 
     /// Counts one local miss a cluster peer's cache answered.
@@ -566,8 +489,8 @@ impl ServiceMetrics {
 ///
 /// `queue_wait_ns` / `exec_ns` are zero for requests that never entered
 /// the queue (cache hits, introspection, rejected jobs); `total_ns` is
-/// measured from decode to reply-written and is what the slow-request
-/// threshold compares against.
+/// measured from decode to reply-written and is what
+/// [`SLOW_REQUEST_NS`] is compared against.
 #[derive(Clone, Debug)]
 pub struct AccessRecord {
     /// Daemon-unique request sequence number.
@@ -579,9 +502,9 @@ pub struct AccessRecord {
     pub key: String,
     /// `"ok"` or `"error:<code>"`.
     pub outcome: String,
-    /// The request's trace id in 16-digit hex (client-supplied or
-    /// server-sampled), empty for untraced requests — the join key
-    /// between an access-log line and its span tree.
+    /// The request's client-supplied trace id in 16-digit hex, empty
+    /// for untraced requests — the join key between an access-log line
+    /// and its span tree.
     pub trace_id: String,
     /// Whether the reply came entirely from the result cache.
     pub cached: bool,
@@ -593,12 +516,14 @@ pub struct AccessRecord {
     pub serialize_ns: u64,
     /// Decode-to-reply wall clock.
     pub total_ns: u64,
+    /// Whether `total_ns` reached [`SLOW_REQUEST_NS`].
+    pub slow: bool,
 }
 
 impl AccessRecord {
     /// Renders the record as one JSON line (without the trailing
-    /// newline); `slow` is stamped by the log against its threshold.
-    fn to_json(&self, slow: bool) -> String {
+    /// newline).
+    fn to_json(&self) -> String {
         let mut o = JsonObject::new();
         o.u64("id", self.id)
             .str("request", &self.request)
@@ -610,7 +535,7 @@ impl AccessRecord {
             .u64("exec_ns", self.exec_ns)
             .u64("serialize_ns", self.serialize_ns)
             .u64("total_ns", self.total_ns)
-            .bool("slow", slow);
+            .bool("slow", self.slow);
         o.finish()
     }
 }
@@ -630,8 +555,7 @@ enum LogSink {
     },
 }
 
-/// Structured JSONL access log with a slow-request threshold and
-/// optional size-based rotation.
+/// Structured JSONL access log with optional size-based rotation.
 ///
 /// Built on the `bfdn-obs` JSON layer (the workspace carries no format
 /// dependency); one line per finished request, flushed per record so a
@@ -642,21 +566,18 @@ enum LogSink {
 /// JSONL.
 pub struct AccessLog {
     out: Mutex<LogSink>,
-    slow_threshold_ns: u64,
-    slow_seen: AtomicU64,
     rotations: AtomicU64,
 }
 
 impl AccessLog {
-    /// Opens (appends to) `path`; requests at or above
-    /// `slow_threshold_ms` are stamped `"slow":true`. A nonzero
-    /// `max_bytes` rotates the file to `<path>.1` (keeping one
-    /// generation) when a line would push it past the threshold.
+    /// Opens (appends to) `path`. A nonzero `max_bytes` rotates the
+    /// file to `<path>.1` (keeping one generation) when a line would
+    /// push it past the threshold.
     ///
     /// # Errors
     ///
     /// Propagates the open error.
-    pub fn open(path: &Path, slow_threshold_ms: u64, max_bytes: u64) -> io::Result<Self> {
+    pub fn open(path: &Path, max_bytes: u64) -> io::Result<Self> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -669,34 +590,26 @@ impl AccessLog {
                 written,
                 max_bytes,
             }),
-            slow_threshold_ns: slow_threshold_ms.saturating_mul(1_000_000),
-            slow_seen: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
         })
     }
 
     /// Wraps an arbitrary writer (tests use an in-memory buffer); never
     /// rotates.
-    pub fn to_writer(out: Box<dyn Write + Send>, slow_threshold_ms: u64) -> Self {
+    pub fn to_writer(out: Box<dyn Write + Send>) -> Self {
         AccessLog {
             out: Mutex::new(LogSink::Writer(out)),
-            slow_threshold_ns: slow_threshold_ms.saturating_mul(1_000_000),
-            slow_seen: AtomicU64::new(0),
             rotations: AtomicU64::new(0),
         }
     }
 
-    /// Appends one record; returns whether it was slow. Write errors
-    /// are swallowed — losing a log line must never fail a request.
-    pub fn record(&self, record: &AccessRecord) -> bool {
-        let slow = record.total_ns >= self.slow_threshold_ns;
-        if slow {
-            self.slow_seen.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut line = record.to_json(slow);
+    /// Appends one record. Write errors are swallowed — losing a log
+    /// line must never fail a request.
+    pub fn record(&self, record: &AccessRecord) {
+        let mut line = record.to_json();
         line.push('\n');
         let Ok(mut sink) = self.out.lock() else {
-            return slow;
+            return;
         };
         match &mut *sink {
             LogSink::Writer(out) => {
@@ -737,12 +650,6 @@ impl AccessLog {
                 let _ = file.flush();
             }
         }
-        slow
-    }
-
-    /// Records stamped slow so far.
-    pub fn slow_seen(&self) -> u64 {
-        self.slow_seen.load(Ordering::Relaxed)
     }
 
     /// Completed rotations so far.
@@ -899,7 +806,7 @@ mod tests {
             }
         }
         let (tx, rx) = mpsc::channel();
-        let log = AccessLog::to_writer(Box::new(Tx(tx)), 1);
+        let log = AccessLog::to_writer(Box::new(Tx(tx)));
         let mut record = AccessRecord {
             id: 1,
             request: "explore".into(),
@@ -911,12 +818,13 @@ mod tests {
             exec_ns: 0,
             serialize_ns: 500,
             total_ns: 900,
+            slow: false,
         };
-        assert!(!log.record(&record));
+        log.record(&record);
         record.id = 2;
-        record.total_ns = 2_000_000;
-        assert!(log.record(&record));
-        assert_eq!(log.slow_seen(), 1);
+        record.total_ns = SLOW_REQUEST_NS;
+        record.slow = true;
+        log.record(&record);
 
         let lines: Vec<String> = rx
             .try_iter()
@@ -943,7 +851,7 @@ mod tests {
 
         // Each record renders to ~230 bytes; a 600-byte cap forces a
         // rotation every couple of lines.
-        let log = AccessLog::open(&path, 1_000, 600).unwrap();
+        let log = AccessLog::open(&path, 600).unwrap();
         let record = |id| AccessRecord {
             id,
             request: "explore".into(),
@@ -955,6 +863,7 @@ mod tests {
             exec_ns: 20,
             serialize_ns: 30,
             total_ns: 70,
+            slow: false,
         };
         for id in 1..=8 {
             log.record(&record(id));
@@ -1000,30 +909,6 @@ mod tests {
         assert!(text.contains(r#"bfdn_bound_margin_window_worst{bound="theorem1_rounds"} 9"#));
         assert!(text.contains(r#"bfdn_bound_margin_worst{bound="theorem1_rounds"} 1.5"#));
         assert!(text.contains("bfdn_margin_watchdog_total 1"));
-    }
-
-    #[test]
-    fn worker_samples_feed_gauges_counters_and_folded_stacks() {
-        let m = ServiceMetrics::new(2);
-        m.worker_sample(0, 1);
-        m.worker_sample(0, 1);
-        m.worker_sample(0, 0);
-        m.worker_sample(1, 0);
-        m.worker_execute_floor(1);
-        m.worker_sample(9, 1); // out of range: ignored, not a panic
-        let text = m.render(&CacheStatsPayload::default(), 0, 0);
-        assert!(text.contains(r#"bfdn_worker_state{worker="0"} 0"#));
-        assert!(text.contains(r#"bfdn_worker_state{worker="1"} 0"#));
-        assert!(
-            text.contains(r#"bfdn_worker_phase_samples_total{phase="execute",worker="0"} 2"#)
-                || text
-                    .contains(r#"bfdn_worker_phase_samples_total{worker="0",phase="execute"} 2"#)
-        );
-        let folded = m.folded_stacks();
-        assert!(folded.contains("bfdn_serve;worker_0;execute 2\n"));
-        assert!(folded.contains("bfdn_serve;worker_0;idle 1\n"));
-        assert!(folded.contains("bfdn_serve;worker_1;execute 1\n"));
-        assert!(!folded.contains("worker_9"));
     }
 
     #[test]

@@ -203,7 +203,6 @@ fn concurrent_scrapes_all_succeed_on_the_fixed_pool() {
 
     let handle = start(ServerConfig {
         metrics_addr: Some("127.0.0.1:0".into()),
-        metrics_scrapers: 2,
         ..ServerConfig::default()
     });
     let metrics_http = handle.metrics_addr().expect("metrics listener bound");
@@ -382,7 +381,15 @@ fn telemetry_traces_a_known_request_sequence() {
         !theorem1.contains("Inf"),
         "three runs shrank the gauge: {theorem1}"
     );
-    assert!(text.contains(r#"bfdn_worker_busy_ns_total{worker="0"}"#));
+    // The two executed jobs ran on some workers, each adding its exact
+    // execute time to its busy counter.
+    let busy_ns: f64 = bfdn_obs::fleet::parse_exposition(&text)
+        .samples
+        .iter()
+        .filter(|s| s.name == "bfdn_worker_busy_ns_total")
+        .map(|s| s.value)
+        .sum();
+    assert!(busy_ns > 0.0, "{text}");
     assert!(text.contains("bfdn_queue_depth 0"));
     assert!(text.contains("# TYPE bfdn_request_execute_seconds histogram"));
 
