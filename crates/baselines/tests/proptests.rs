@@ -1,6 +1,8 @@
 //! Property-based tests for the baselines: arbitrary trees, arbitrary
 //! team sizes.
 
+mod cte_reference;
+
 use bfdn_baselines::{Cte, OfflineSplit, OnlineDfs, ScriptedExplorer};
 use bfdn_sim::Simulator;
 use bfdn_trees::{NodeId, Tree, TreeBuilder};
@@ -55,5 +57,12 @@ proptest! {
             (outcome.rounds as f64) <= guarantee,
             "{} > {guarantee} on {tree} k={k}", outcome.rounds
         );
+    }
+
+    /// CTE makes the original implementation's moves, round for round,
+    /// on arbitrary trees (k = 1 and k > n included).
+    #[test]
+    fn cte_matches_the_reference(tree in arb_tree(), k in 1usize..40) {
+        cte_reference::assert_lockstep(&tree, k);
     }
 }
