@@ -92,6 +92,9 @@ def main():
         sys.exit(2)
 
     failures = []
+    machine = baseline.get("machine") or baseline_file.get("machine", "unknown machine")
+    print(f"baseline `{args.section}` at {baseline.get('git_revision', '?')}, "
+          f"{baseline.get('threads', '?')} thread(s) on {machine}")
     print(f"{'id':>10}  {'base ms':>8}  {'cur ms':>8}  {'limit':>8}  {'rows':>9}  verdict")
     for exp_id, b in sorted(base.items()):
         c = cur[exp_id]
