@@ -1,6 +1,6 @@
 # Convenience targets for the BFDN reproduction.
 
-.PHONY: all test bench experiments experiments-quick serve load cluster-load docs lint clean
+.PHONY: all test bench experiments experiments-quick serve load docs lint clean
 
 all: test
 
@@ -31,18 +31,6 @@ load:
 	mkdir -p results
 	cargo run --release -p bfdn-loadgen --bin bfdn-load -- \
 		--profile quick --seed 1 --report-json results/load-report.json
-
-# Self-contained 3-shard cluster storm: spawns the shards, SIGKILLs
-# shard 1 mid-storm, restarts it, and exits by the SLO verdict
-# (Proposition 7 as an operational drill; see README §Cluster serving).
-cluster-load:
-	mkdir -p results
-	cargo build --release -p bfdn-service
-	cargo run --release -p bfdn-loadgen --bin bfdn-load -- \
-		--profile quick --seed 1 \
-		--cluster-shards 3 --shard-bin target/release/bfdn-serve \
-		--kill-shard 1 --kill-at-ms 300 --restart-after-ms 300 \
-		--report-json results/cluster-load-report.json
 
 docs:
 	cargo doc --workspace --no-deps

@@ -2,21 +2,16 @@
 //!
 //! ```text
 //! sweep [--quick|--huge] [--csv PATH] [--via-service ADDR]
-//!       [--via-cluster ADDR1,ADDR2,...] [--loadgen-report PATH]
+//!       [--loadgen-report PATH]
 //! ```
 //!
 //! `--huge` appends the million-node single-instance requests to the
 //! grid (see `EXPERIMENTS.md` §Huge scale) — through `--via-service`
 //! each one is served as a single request on one daemon worker.
 //!
-//! `--via-cluster` routes the grid through a shard cluster instead of a
-//! single daemon: specs split by home shard on the consistent-hash
-//! ring, per-shard batches, results reassembled in request order.
-//!
 //! The printed table (and `--csv` file) is byte-identical whether the
-//! sweep runs in-process, via `--via-service`, or via `--via-cluster` —
-//! re-running against a warm daemon answers entirely from its result
-//! cache. The hit/miss
+//! sweep runs in-process or via `--via-service` — re-running against a
+//! warm daemon answers entirely from its result cache. The hit/miss
 //! split reported by the server goes to stderr. `--loadgen-report`
 //! points at a `bfdn-load --report-json` file; its verdict and
 //! per-class quantiles are summarised to stderr next to the sweep, so
@@ -53,70 +48,43 @@ fn main() {
     };
     let csv = take(&mut args, "--csv").map(PathBuf::from);
     let via_service = take(&mut args, "--via-service");
-    let via_cluster = take(&mut args, "--via-cluster");
     let loadgen_report = take(&mut args, "--loadgen-report").map(PathBuf::from);
     if let Some(stray) = args.first() {
         eprintln!(
             "unknown argument `{stray}` (expected --quick, --huge, --csv PATH, \
-             --via-service ADDR, --via-cluster ADDRS, --loadgen-report PATH)"
+             --via-service ADDR, --loadgen-report PATH)"
         );
-        std::process::exit(2);
-    }
-    if via_service.is_some() && via_cluster.is_some() {
-        eprintln!("--via-service and --via-cluster are mutually exclusive");
         std::process::exit(2);
     }
 
     let specs = sweep::standard_specs(scale);
-    let results = if let Some(list) = &via_cluster {
-        let shards: Vec<String> = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
-        match sweep::run_via_cluster(&shards, specs) {
+    let results = match &via_service {
+        Some(addr) => match sweep::run_via_service(addr, specs) {
             Ok((results, hits, misses)) => {
-                eprintln!(
-                    "[served by {}-shard cluster: hits={hits} misses={misses}]",
-                    shards.len()
-                );
+                eprintln!("[served by {addr}: hits={hits} misses={misses}]");
+                match sweep::service_telemetry_summary(addr) {
+                    Ok(summary) => {
+                        eprintln!("[server telemetry]");
+                        for line in summary.lines() {
+                            eprintln!("  {line}");
+                        }
+                    }
+                    Err(e) => eprintln!("[server telemetry unavailable: {e}]"),
+                }
                 results
             }
             Err(e) => {
                 eprintln!("sweep: {e}");
                 std::process::exit(1);
             }
-        }
-    } else {
-        match &via_service {
-            Some(addr) => match sweep::run_via_service(addr, specs) {
-                Ok((results, hits, misses)) => {
-                    eprintln!("[served by {addr}: hits={hits} misses={misses}]");
-                    match sweep::service_telemetry_summary(addr) {
-                        Ok(summary) => {
-                            eprintln!("[server telemetry]");
-                            for line in summary.lines() {
-                                eprintln!("  {line}");
-                            }
-                        }
-                        Err(e) => eprintln!("[server telemetry unavailable: {e}]"),
-                    }
-                    results
-                }
-                Err(e) => {
-                    eprintln!("sweep: {e}");
-                    std::process::exit(1);
-                }
-            },
-            None => match sweep::run_local(&specs) {
-                Ok(results) => results,
-                Err(e) => {
-                    eprintln!("sweep: {e}");
-                    std::process::exit(1);
-                }
-            },
-        }
+        },
+        None => match sweep::run_local(&specs) {
+            Ok(results) => results,
+            Err(e) => {
+                eprintln!("sweep: {e}");
+                std::process::exit(1);
+            }
+        },
     };
     if let Some(path) = &loadgen_report {
         match std::fs::read_to_string(path)

@@ -82,27 +82,6 @@ pub fn run_via_service(
     client.batch(specs).map_err(|e| e.to_string())
 }
 
-/// Routes the sweep through a shard cluster: specs are grouped by their
-/// home shard on the consistent-hash ring, issued as per-shard batches,
-/// and reassembled in request order. Dead shards are failed over
-/// automatically, and peer cache-fill means a re-routed spec is usually
-/// copied, not recomputed — so the returned results (and therefore the
-/// [`results_table`] CSV) are byte-identical to [`run_local`] and
-/// [`run_via_service`], which the `cluster_determinism` integration
-/// test asserts.
-///
-/// # Errors
-///
-/// Formats transport and cluster errors as strings.
-pub fn run_via_cluster(
-    shards: &[String],
-    specs: Vec<ExploreSpec>,
-) -> Result<(Vec<ExploreResult>, u64, u64), String> {
-    let mut client =
-        bfdn_cluster::ClusterClient::new(bfdn_cluster::ClusterConfig::new(shards.iter().cloned()));
-    client.batch(&specs).map_err(|e| e.to_string())
-}
-
 /// Scrapes the daemon's metrics over the wire protocol and condenses
 /// the series a sweep run cares about — request mix, cache hit/miss
 /// split, the persistent-store tier, and the bound-margin aggregates

@@ -26,24 +26,15 @@
 //!
 //! [`run::execute`] drives a plan against a live daemon and
 //! [`report::render`] emits the JSON consumed by CI's `load-smoke` job
-//! and `sweep --loadgen-report`. [`cluster::execute_cluster`] drives
-//! the same plan against a shard cluster through ring-routed failover
-//! clients, adds the `shard-killer` persona (SIGKILL a daemon
-//! mid-storm, optionally restart it) and a peer-fill probe leg, and
-//! judges the run by the same SLOs — the systems analogue of the
-//! paper's Proposition 7 breakdown tolerance.
+//! and `sweep --loadgen-report`.
 
 pub mod chaos;
-pub mod cluster;
 pub mod measure;
 pub mod report;
 pub mod run;
 pub mod workload;
 
 pub use chaos::{ChaosClient, ChaosOutcome, Persona};
-pub use cluster::{
-    execute_cluster, ChildShard, ClusterStats, FleetFacts, ShardBreaker, ShardKillPlan,
-};
 pub use measure::{Collector, SloConfig};
 pub use run::{execute, RunOutcome};
 pub use workload::{Arrival, MixConfig, Op, Plan, Profile, ProfileConfig};

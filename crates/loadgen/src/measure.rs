@@ -12,7 +12,7 @@
 //! daemon, while the near-cap `big-instance` quantiles stay resolvable
 //! instead of saturating at the daemon's top bucket.
 
-use bfdn_obs::fleet::parse_exposition;
+use bfdn_obs::exposition::parse_exposition;
 use bfdn_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

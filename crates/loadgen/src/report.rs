@@ -50,10 +50,6 @@ pub fn render(plan: &Plan, outcome: &RunOutcome, summaries: &[ClassSummary]) -> 
             .u64("trace_dropped", dropped),
         None => o.raw("trace_recorded", "null").raw("trace_dropped", "null"),
     };
-    match &outcome.cluster {
-        Some(stats) => o.raw("cluster", &cluster_json(stats)),
-        None => o.raw("cluster", "null"),
-    };
     o.raw("classes", &classes_json(summaries));
     o.raw("violations", &string_array(&outcome.violations));
     o.bool("pass", outcome.pass);
@@ -78,32 +74,6 @@ fn daemon_json(stats: &DaemonStats) -> String {
     match stats.cache_hit_ratio() {
         Some(ratio) => o.f64("cache_hit_ratio", ratio),
         None => o.raw("cache_hit_ratio", "null"),
-    };
-    o.finish()
-}
-
-fn cluster_json(stats: &crate::cluster::ClusterStats) -> String {
-    let mut o = JsonObject::new();
-    o.u64("shards", stats.shards)
-        .u64("shards_scraped", stats.shards_scraped)
-        .f64("peer_fill_hits", stats.peer_fill_hits)
-        .f64("peer_fill_misses", stats.peer_fill_misses)
-        .u64("reroutes", stats.reroutes);
-    match &stats.fleet {
-        Some(fleet) => {
-            let mut f = JsonObject::new();
-            f.u64("shards_up", fleet.shards_up);
-            match fleet.worst_margin {
-                Some(v) => f.f64("worst_margin", v),
-                None => f.raw("worst_margin", "null"),
-            };
-            match fleet.bound_violations {
-                Some(v) => f.f64("bound_violations", v),
-                None => f.raw("bound_violations", "null"),
-            };
-            o.raw("fleet", &f.finish())
-        }
-        None => o.raw("fleet", "null"),
     };
     o.finish()
 }
@@ -188,18 +158,6 @@ mod tests {
             }),
             probe_consistent: Some(true),
             trace_counters: Some((42, 0)),
-            cluster: Some(crate::cluster::ClusterStats {
-                shards: 3,
-                shards_scraped: 2,
-                peer_fill_hits: 1.0,
-                peer_fill_misses: 4.0,
-                reroutes: 6,
-                fleet: Some(crate::cluster::FleetFacts {
-                    shards_up: 2,
-                    worst_margin: Some(12.5),
-                    bound_violations: Some(0.0),
-                }),
-            }),
             violations: vec!["example \"quoted\" violation".into()],
             pass: false,
         };
@@ -244,24 +202,6 @@ mod tests {
         );
         assert_eq!(json.get("trace_recorded").and_then(Json::as_u64), Some(42));
         assert_eq!(json.get("trace_dropped").and_then(Json::as_u64), Some(0));
-        let cluster = json.get("cluster").expect("cluster object");
-        assert_eq!(cluster.get("shards").and_then(Json::as_u64), Some(3));
-        assert_eq!(
-            cluster.get("shards_scraped").and_then(Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            cluster.get("peer_fill_hits").and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(cluster.get("reroutes").and_then(Json::as_u64), Some(6));
-        let fleet = cluster.get("fleet").expect("fleet object");
-        assert_eq!(fleet.get("shards_up").and_then(Json::as_u64), Some(2));
-        assert_eq!(fleet.get("worst_margin").and_then(Json::as_f64), Some(12.5));
-        assert_eq!(
-            fleet.get("bound_violations").and_then(Json::as_f64),
-            Some(0.0)
-        );
         let slow = classes[0]
             .get("slow_traces")
             .and_then(Json::as_arr)

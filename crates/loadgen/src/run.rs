@@ -44,9 +44,6 @@ pub struct RunOutcome {
     /// `(recorded, dropped)` from the daemon's span recorder after the
     /// run; `dropped == 0` certifies every span survived the ring.
     pub trace_counters: Option<(u64, u64)>,
-    /// Cluster-mode facts (shard scrapes, peer-fill totals, reroutes);
-    /// `None` for single-daemon runs.
-    pub cluster: Option<crate::cluster::ClusterStats>,
     pub violations: Vec<String>,
     pub pass: bool,
 }
@@ -183,7 +180,6 @@ pub fn execute(
         daemon,
         probe_consistent,
         trace_counters,
-        cluster: None,
         pass: violations.is_empty(),
         violations,
     }
@@ -192,7 +188,7 @@ pub fn execute(
 /// The deterministic trace id for one workload operation: FNV-1a over
 /// `(plan fingerprint, class, index)`, forced odd so it can never be the
 /// reserved zero id.
-pub(crate) fn trace_id(fingerprint: u64, class: &str, index: u64) -> u64 {
+fn trace_id(fingerprint: u64, class: &str, index: u64) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -206,7 +202,7 @@ pub(crate) fn trace_id(fingerprint: u64, class: &str, index: u64) -> u64 {
     hash | 1
 }
 
-pub(crate) fn sleep_until(started: Instant, at_ms: u64) {
+fn sleep_until(started: Instant, at_ms: u64) {
     let target = started + Duration::from_millis(at_ms);
     let now = Instant::now();
     if let Some(wait) = target.checked_duration_since(now) {
@@ -320,10 +316,7 @@ fn flood_reheat(
     }
 }
 
-pub(crate) fn fetch_daemon_stats(
-    addr: SocketAddr,
-    metrics_http: Option<&str>,
-) -> Option<DaemonStats> {
+fn fetch_daemon_stats(addr: SocketAddr, metrics_http: Option<&str>) -> Option<DaemonStats> {
     let exposition = match metrics_http {
         Some(http_addr) => scrape_http_metrics(http_addr).ok()?,
         None => connect(addr)?.metrics().ok()?,
@@ -411,7 +404,7 @@ fn issue_on(client: &mut Client, op: &Op, trace: u64) -> String {
     }
 }
 
-pub(crate) fn classify_error(e: &bfdn_service::client::ClientError) -> String {
+fn classify_error(e: &bfdn_service::client::ClientError) -> String {
     match e.as_server_error() {
         Some(wire) => format!("error:{}", wire.code.as_str()),
         None => "io_error".into(),

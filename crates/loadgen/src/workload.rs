@@ -59,7 +59,7 @@ pub enum Profile {
     Chaos,
     /// A cache-busting storm of unique specs sized past a resident-bytes
     /// budget, plus a reheat leg proving the overflow serves from the
-    /// store. Single-daemon only.
+    /// store.
     Flood,
 }
 

@@ -20,10 +20,10 @@
 //! Long-lived processes (the `bfdn-serve` daemon) aggregate across many
 //! runs through the [`metrics`] module: lock-free counters, gauges and
 //! fixed-bucket histograms in a shared registry, rendered as Prometheus
-//! text exposition. Per-request causality — "why was *this* request
-//! slow" — comes from the [`tracing`] module: span trees in a bounded
-//! non-blocking ring, exported as JSONL or Perfetto-loadable Chrome
-//! trace-event JSON.
+//! text exposition (and parsed back by [`exposition`]). Per-request
+//! causality — "why was *this* request slow" — comes from the
+//! [`tracing`] module: span trees in a bounded non-blocking ring,
+//! exported as JSONL or Perfetto-loadable Chrome trace-event JSON.
 //!
 //! A finished run is summarized by a [`RunManifest`] (algorithm,
 //! workload, seed, `n`, `D`, `Δ`, `k`, git revision, per-phase
@@ -50,7 +50,7 @@
 
 mod bound;
 mod event;
-pub mod fleet;
+pub mod exposition;
 pub mod json;
 mod manifest;
 pub mod metrics;
@@ -60,7 +60,6 @@ pub mod tracing;
 
 pub use bound::{BoundConfig, BoundTracker, MarginSample};
 pub use event::Event;
-pub use fleet::FleetAggregator;
 pub use manifest::{git_revision, RunManifest};
 pub use metrics::{register_build_info, Counter, Gauge, Histogram, Registry};
 pub use phase::Phases;

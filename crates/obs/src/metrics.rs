@@ -390,8 +390,8 @@ impl Registry {
 }
 
 /// Registers the `bfdn_build_info{revision,version}` identity gauge
-/// (value `1`) in `registry` — every serving binary calls this so fleet
-/// scrapes can detect mixed-revision clusters. The revision is the
+/// (value `1`) in `registry` — every serving binary calls this so a
+/// scrape names the revision that answered it. The revision is the
 /// repository's current git HEAD ([`crate::git_revision`]), `unknown`
 /// when the process runs outside a checkout; pass the binary's
 /// `env!("CARGO_PKG_VERSION")` as `version`. Returns the revision label
@@ -525,7 +525,7 @@ fn label_set(out: &mut String, labels: &[(String, String)], le: Option<&str>) {
     out.push('}');
 }
 
-pub(crate) fn escape_label(out: &mut String, v: &str) {
+fn escape_label(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -538,7 +538,7 @@ pub(crate) fn escape_label(out: &mut String, v: &str) {
 
 /// Appends a float in exposition form: shortest round-trip repr for
 /// finite values, `+Inf`/`-Inf`/`NaN` otherwise.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     if v.is_nan() {
         out.push_str("NaN");

@@ -1,13 +1,13 @@
 //! Request-scoped distributed tracing: span trees, a bounded
 //! non-blocking ring recorder, and Perfetto-loadable exporters.
 //!
-//! Aggregate metrics ([`crate::metrics`]) answer "how is the fleet
+//! Aggregate metrics ([`crate::metrics`]) answer "how is the daemon
 //! doing"; this module answers "why was *this* request slow". A
 //! [`SpanRecord`] captures one timed operation (`trace`/`span`/`parent`
 //! ids, nanosecond start and duration relative to the recorder epoch,
 //! typed attributes); spans sharing a `trace` id form one tree per
-//! request, stitched across threads and — via the wire-propagated
-//! `trace` field — across processes.
+//! request across threads, keyed by the client's wire-propagated
+//! `trace` field.
 //!
 //! Recording never blocks a hot path: [`SpanRecorder::record`] claims a
 //! ring slot with an atomic counter and a `try_lock`, and counts a drop

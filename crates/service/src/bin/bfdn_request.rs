@@ -3,12 +3,10 @@
 //! ```text
 //! bfdn-request [--addr HOST:PORT] [--retry N] [--backoff-ms M]
 //!              [--backoff-jitter MS] [--jitter-seed N] [--trace]
-//!              [--cluster H:P,H:P,...] [--connect-timeout-ms MS]
 //!              explore --algo A --family F --n N --k K --seed S
 //!              [--manifest] [--delay-ms MS]
 //! bfdn-request [--addr HOST:PORT] [--retry N] [--backoff-ms M]
 //!              [--backoff-jitter MS] [--jitter-seed N] [--trace]
-//!              [--cluster H:P,H:P,...] [--connect-timeout-ms MS]
 //!              batch --algos A,B --families F,G
 //!              --n N --ks K1,K2 --seeds S [--delay-ms MS]
 //! bfdn-request [--addr HOST:PORT] trace [--id HEX16]
@@ -38,46 +36,24 @@
 //! do not re-arrive as a thundering herd. The jitter stream is seeded
 //! (`--jitter-seed`, default: process id) and therefore reproducible.
 //!
-//! `--cluster` takes the shard list of a multi-daemon cluster instead
-//! of `--addr`: the request's home shard is picked by hashing the spec
-//! key (so repeat invocations land on the same shard's warm cache), and
-//! connect failures fail over linearly through the remaining shards —
-//! any shard can serve any spec, peer cache-fill keeps re-execution
-//! rare. This is deliberately a *thin* client; full consistent-hash
-//! routing lives in `bfdn-cluster-proxy`. `--connect-timeout-ms` bounds
-//! each dial (default: the OS connect timeout — minutes — when talking
-//! to one daemon, 250 ms per shard in `--cluster` mode so a dead shard
-//! costs a bounded delay).
-//!
 //! `--trace` attaches a client-generated trace id (derived from the
 //! jitter seed, so reproducible with `--jitter-seed`) to the explore or
 //! batch request, then fetches the server-side span tree for that id
-//! and prints an indented breakdown to stderr. With `--cluster`, the
-//! breakdown is *stitched*: every shard's span ring is pulled for the
-//! id and joined into one cross-process tree, so a peer cache-fill
-//! shows up as the remote shard's subtree (tagged `[shard]`) under the
-//! home shard's `peer_fill` span. Busy/draining failures (exit codes 3
-//! and 4) include the trace id so the rejected attempt can still be
-//! found in the server's span ring. The `trace` verb dumps the server's
-//! recent-span ring as one JSON span per line (optionally filtered to
-//! one trace with `--id`).
+//! and prints an indented breakdown to stderr. Busy/draining failures
+//! (exit codes 3 and 4) include the trace id so the rejected attempt can
+//! still be found in the server's span ring. The `trace` verb dumps the
+//! server's recent-span ring as one JSON span per line (optionally
+//! filtered to one trace with `--id`).
 
 use bfdn_obs::tracing::{hex16, parse_hex16};
 use bfdn_service::client::Client;
-use bfdn_service::protocol::{
-    fnv1a, ErrorCode, ExploreSpec, Request, Response, SpanPayload, WireError,
-};
-use bfdn_service::stitch::{stitch, ProcessSpans, SHARD_ATTR};
+use bfdn_service::protocol::{ErrorCode, ExploreSpec, Request, Response, SpanPayload, WireError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::ToSocketAddrs;
 use std::process::ExitCode;
-use std::time::Duration;
 
 struct Invocation {
     addr: String,
-    cluster: Vec<String>,
-    connect_timeout_ms: Option<u64>,
     retry: u32,
     backoff_ms: u64,
     backoff_jitter: u64,
@@ -99,8 +75,6 @@ enum Command {
 fn parse(args: Vec<String>) -> Result<Invocation, String> {
     let mut it = args.into_iter().peekable();
     let mut addr = "127.0.0.1:4077".to_string();
-    let mut cluster: Vec<String> = Vec::new();
-    let mut connect_timeout_ms: Option<u64> = None;
     let mut retry = 0u32;
     let mut backoff_ms = 100u64;
     let mut backoff_jitter: Option<u64> = None;
@@ -111,22 +85,6 @@ fn parse(args: Vec<String>) -> Result<Invocation, String> {
             Some("--addr") => {
                 it.next();
                 addr = it.next().ok_or("--addr needs a value")?;
-            }
-            Some("--cluster") => {
-                it.next();
-                let v = it.next().ok_or("--cluster needs a value")?;
-                cluster = split_list(&v);
-                if cluster.is_empty() {
-                    return Err("--cluster needs at least one HOST:PORT".into());
-                }
-            }
-            Some("--connect-timeout-ms") => {
-                it.next();
-                let v = it.next().ok_or("--connect-timeout-ms needs a value")?;
-                connect_timeout_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --connect-timeout-ms `{v}`"))?,
-                );
             }
             Some("--retry") => {
                 it.next();
@@ -177,8 +135,6 @@ fn parse(args: Vec<String>) -> Result<Invocation, String> {
     };
     Ok(Invocation {
         addr,
-        cluster,
-        connect_timeout_ms,
         retry,
         backoff_ms,
         backoff_jitter,
@@ -397,73 +353,10 @@ fn with_retry<T>(
     }
 }
 
-/// The spec key the command routes by in `--cluster` mode: single
-/// explores hash their own canonical key, batches hash their first item
-/// (so repeat invocations of the same batch land on the same shard's
-/// warm cache), introspection verbs hash nothing.
-fn routing_key(command: &Command) -> Option<String> {
-    match command {
-        Command::Explore(spec) => Some(spec.canonical()),
-        Command::Batch(specs) => specs.first().map(|s| s.canonical()),
-        _ => None,
-    }
-}
-
-/// One dial, bounded by `--connect-timeout-ms` when set.
-fn dial(addr: &str, timeout_ms: Option<u64>) -> Result<Client, String> {
-    match timeout_ms {
-        None => Client::connect(addr).map_err(|e| e.to_string()),
-        Some(ms) => {
-            let socket = addr
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut a| a.next())
-                .ok_or_else(|| format!("cannot resolve `{addr}`"))?;
-            Client::connect_timeout(&socket, Duration::from_millis(ms.max(1)))
-                .map_err(|e| e.to_string())
-        }
-    }
-}
-
-/// Connects to the daemon — or, in `--cluster` mode, to the command's
-/// home shard with linear failover through the rest of the shard list.
-/// Any shard can serve any spec (peer cache-fill makes a wrong-home
-/// serve a copy, not a recompute), so failover never changes results.
-fn connect_client(invocation: &Invocation) -> Result<Client, Failure> {
-    if invocation.cluster.is_empty() {
-        return dial(&invocation.addr, invocation.connect_timeout_ms)
-            .map_err(|e| Failure::plain(format!("cannot connect to {}: {e}", invocation.addr)));
-    }
-    let shards = &invocation.cluster;
-    // Dials must stay bounded when there are shards to fail over to.
-    let timeout = invocation.connect_timeout_ms.or(Some(250));
-    let start = match routing_key(&invocation.command) {
-        Some(key) => (fnv1a(key.as_bytes()) % shards.len() as u64) as usize,
-        None => 0,
-    };
-    let mut last = String::new();
-    for offset in 0..shards.len() {
-        let addr = &shards[(start + offset) % shards.len()];
-        match dial(addr, timeout) {
-            Ok(client) => {
-                if offset > 0 {
-                    eprintln!("bfdn-request: home shard unreachable, failed over to {addr}");
-                }
-                return Ok(client);
-            }
-            Err(e) => last = format!("{addr}: {e}"),
-        }
-    }
-    Err(Failure::plain(format!(
-        "no cluster shard reachable (last: {last})"
-    )))
-}
-
 fn run(invocation: Invocation) -> Result<(), Failure> {
     let mut policy = RetryPolicy::new(&invocation);
-    let mut client = connect_client(&invocation)?;
-    let cluster = invocation.cluster.clone();
-    let connect_timeout_ms = invocation.connect_timeout_ms;
+    let mut client = Client::connect(&invocation.addr)
+        .map_err(|e| Failure::plain(format!("cannot connect to {}: {e}", invocation.addr)))?;
     // The trace id is drawn from its own copy of the seeded stream so it
     // is reproducible with --jitter-seed yet leaves the backoff jitter
     // sequence untouched. `| 1` keeps it off the reserved zero id.
@@ -477,7 +370,7 @@ fn run(invocation: Invocation) -> Result<(), Failure> {
                 .map_err(|f| f.with_trace(trace))?;
             eprintln!("cached={}", result.cached);
             println!("{}", result.payload_json());
-            print_trace_breakdown(&mut client, trace, &cluster, connect_timeout_ms)?;
+            print_trace_breakdown(&mut client, trace)?;
         }
         Command::Batch(specs) => {
             let count = specs.len();
@@ -487,7 +380,7 @@ fn run(invocation: Invocation) -> Result<(), Failure> {
                 println!("{}", result.payload_json());
             }
             eprintln!("hits={hits} misses={misses} ({count} items)");
-            print_trace_breakdown(&mut client, trace, &cluster, connect_timeout_ms)?;
+            print_trace_breakdown(&mut client, trace)?;
         }
         Command::Trace(filter) => {
             let payload = client
@@ -522,87 +415,35 @@ fn run(invocation: Invocation) -> Result<(), Failure> {
 }
 
 /// Fetches and prints the server-side span tree for `trace` (when set)
-/// as an indented breakdown on stderr. Against one daemon the fetch
-/// happens on the same connection right after the traced request, so
-/// the spans are already in the ring by the time we ask; in `--cluster`
-/// mode every shard's ring is pulled and the fragments are stitched
-/// into one cross-process tree, each span tagged with the shard that
-/// recorded it.
-fn print_trace_breakdown(
-    client: &mut Client,
-    trace: Option<u64>,
-    cluster: &[String],
-    connect_timeout_ms: Option<u64>,
-) -> Result<(), Failure> {
+/// as an indented breakdown on stderr. The fetch happens on the same
+/// connection right after the traced request, so the spans are already
+/// in the ring by the time we ask.
+fn print_trace_breakdown(client: &mut Client, trace: Option<u64>) -> Result<(), Failure> {
     let Some(id) = trace else { return Ok(()) };
-    if cluster.is_empty() {
-        let payload = client
-            .trace_spans(Some(id))
-            .map_err(|e| Failure::from_client(&e))?;
-        eprintln!(
-            "trace {} ({} spans, recorder dropped {})",
-            hex16(id),
-            payload.spans.len(),
-            payload.dropped
-        );
-        let roots: Vec<&SpanPayload> = payload.spans.iter().filter(|s| s.parent == 0).collect();
-        for root in roots {
-            print_span(&payload.spans, root, 1);
-        }
-        return Ok(());
-    }
-    // Cluster mode: one ring per shard, joined into a single tree. An
-    // unreachable shard only loses its own fragment.
-    let timeout = connect_timeout_ms.or(Some(250));
-    let mut processes = Vec::new();
-    let mut unreachable = 0usize;
-    for shard in cluster {
-        let payload = dial(shard, timeout)
-            .map_err(|e| e.to_string())
-            .and_then(|mut c| c.trace_spans(Some(id)).map_err(|e| e.to_string()));
-        match payload {
-            Ok(payload) => processes.push(ProcessSpans::from_payload(shard, payload)),
-            Err(_) => unreachable += 1,
-        }
-    }
-    let stitched = stitch(&processes);
-    let shards_with_spans = processes.iter().filter(|p| !p.spans.is_empty()).count();
+    let payload = client
+        .trace_spans(Some(id))
+        .map_err(|e| Failure::from_client(&e))?;
     eprintln!(
-        "trace {} stitched across {shards_with_spans} shard(s) \
-         ({} spans, recorders dropped {}{})",
+        "trace {} ({} spans, recorder dropped {})",
         hex16(id),
-        stitched.spans.len(),
-        stitched.dropped,
-        if unreachable > 0 {
-            format!(", {unreachable} shard(s) unreachable")
-        } else {
-            String::new()
-        }
+        payload.spans.len(),
+        payload.dropped
     );
-    let roots: Vec<&SpanPayload> = stitched.spans.iter().filter(|s| s.parent == 0).collect();
+    let roots: Vec<&SpanPayload> = payload.spans.iter().filter(|s| s.parent == 0).collect();
     for root in roots {
-        print_span(&stitched.spans, root, 1);
+        print_span(&payload.spans, root, 1);
     }
     Ok(())
 }
 
 fn print_span(spans: &[SpanPayload], span: &SpanPayload, depth: usize) {
-    // The stitch-added origin label leads in brackets; other attributes
-    // keep their key=value form.
-    let shard = span
-        .attrs
-        .iter()
-        .find(|(key, _)| key == SHARD_ATTR)
-        .map(|(_, value)| format!("[{value}] "))
-        .unwrap_or_default();
     let attrs: Vec<String> = span
         .attrs
         .iter()
-        .filter(|(key, _)| key != SHARD_ATTR)
         .map(|(key, value)| format!("{key}={value}"))
         .collect();
     eprintln!(
-        "{:indent$}{shard}{} {:.1}us {}",
+        "{:indent$}{} {:.1}us {}",
         "",
         span.name,
         span.duration_ns as f64 / 1_000.0,

@@ -8,13 +8,7 @@
 //!            [--access-log PATH] [--access-log-max-bytes N]
 //!            [--batch-split N] [--read-timeout-ms MS]
 //!            [--trace-out PATH]
-//!            [--peers HOST:PORT,HOST:PORT,...]
 //! ```
-//!
-//! `--peers` lists the *other* shards of a cluster; with it set, a
-//! local cache miss asks each peer for its cached result (bounded by
-//! 250 ms per probe) before executing, so a spec is computed once
-//! cluster-wide and then copied.
 //!
 //! `--store-dir` backs the cache with the log-structured compressed
 //! result store: executed results are written through, memory misses
@@ -87,14 +81,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                     .map_err(|_| format!("bad --read-timeout-ms `{v}`"))?;
             }
             "--trace-out" => config.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--peers" => {
-                config.peers = value("--peers")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-            }
             "--access-log-max-bytes" => {
                 let v = value("--access-log-max-bytes")?;
                 config.access_log_max_bytes = v
@@ -107,7 +93,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                      --cache-capacity --cache-shards --store-dir \
                      --store-budget-bytes --compact-trigger \
                      --metrics-addr --access-log --access-log-max-bytes \
-                     --batch-split --read-timeout-ms --trace-out --peers)"
+                     --batch-split --read-timeout-ms --trace-out)"
                 ))
             }
         }
@@ -147,7 +133,7 @@ mod tests {
     use super::parse;
 
     /// Every flag `bfdn-serve` accepts, each with a value `parse` takes.
-    const KEPT: [(&str, &str); 15] = [
+    const KEPT: [(&str, &str); 14] = [
         ("--addr", "127.0.0.1:0"),
         ("--workers", "2"),
         ("--queue-depth", "8"),
@@ -162,10 +148,9 @@ mod tests {
         ("--batch-split", "4"),
         ("--read-timeout-ms", "100"),
         ("--trace-out", "trace.json"),
-        ("--peers", "127.0.0.1:1,127.0.0.1:2"),
     ];
 
-    const REMOVED: [&str; 7] = [
+    const REMOVED: [&str; 8] = [
         "--manifest-dir",
         "--metrics-scrapers",
         "--slow-ms",
@@ -173,6 +158,7 @@ mod tests {
         "--peer-timeout-ms",
         "--profile-interval-ms",
         "--profile-out",
+        "--peers",
     ];
 
     fn args(list: &[&str]) -> Vec<String> {

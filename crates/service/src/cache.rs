@@ -213,32 +213,6 @@ impl ResultCache {
         ExploreResult::from_payload_json(&payload).ok()
     }
 
-    /// Like [`ResultCache::get`] but without touching the hit/miss
-    /// counters: peer cache-fill probes answer from whatever happens to
-    /// be resident, and another shard's traffic must not skew this
-    /// shard's client-facing hit ratio. Serving a peer still refreshes
-    /// the entry's recency — a result the ring keeps asking for is
-    /// worth keeping.
-    /// A store-backed cache also answers peer probes from disk — but
-    /// without re-admitting the record to memory, so another shard's
-    /// fill traffic cannot displace this shard's hot set.
-    pub fn peek(&self, spec: &ExploreSpec) -> Option<ExploreResult> {
-        let canonical = spec.canonical();
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut shard = self.shard_for(&canonical).lock().expect("cache shard");
-            if let Some(entry) = shard.map.get_mut(&canonical) {
-                entry.last_used = tick;
-                let mut result = entry.result.clone();
-                result.cached = true;
-                return Some(result);
-            }
-        }
-        let mut result = self.store_lookup(&canonical)?;
-        result.cached = true;
-        Some(result)
-    }
-
     /// Stores a completed result under its spec's canonical key,
     /// normalizing `cached` to `false` so the stored payload is exactly
     /// what a fresh computation produces. Evicts the least-recently-used

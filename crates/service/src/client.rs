@@ -14,7 +14,7 @@ use crate::protocol::{
 };
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Why a client call failed.
@@ -77,24 +77,6 @@ impl Client {
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            trace: None,
-            last_trace: None,
-        })
-    }
-
-    /// Connects with a bounded connect timeout. A dead or blackholed
-    /// address fails within `timeout` instead of blocking on the OS
-    /// default (minutes on most stacks) — the cluster client's failover
-    /// and the daemon's peer cache-fill both depend on this bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the connect failure or timeout.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
@@ -247,22 +229,6 @@ impl Client {
             Response::Error(e) => Err(ClientError::Server(e)),
             Response::Trace(t) => Ok(t),
             _ => Err(ClientError::Unexpected("non-trace")),
-        }
-    }
-
-    /// Asks a cluster peer whether it already holds the result for
-    /// `spec`. `Ok(None)` is the expected cold-path outcome — the peer
-    /// answered, it just has nothing cached. Never causes execution on
-    /// the peer.
-    ///
-    /// # Errors
-    ///
-    /// Transport/decoding failures, or the server's structured error.
-    pub fn peer_fill(&mut self, spec: ExploreSpec) -> Result<Option<ExploreResult>, ClientError> {
-        match self.expect(&Request::PeerFill(spec))? {
-            Response::Result(r) => Ok(Some(*r)),
-            Response::PeerMiss => Ok(None),
-            _ => Err(ClientError::Unexpected("non-peer-fill")),
         }
     }
 

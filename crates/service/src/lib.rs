@@ -52,7 +52,6 @@ pub mod migrate;
 pub use bfdn_sim::parallel;
 pub mod protocol;
 pub mod server;
-pub mod stitch;
 pub mod telemetry;
 
 pub use cache::{CacheConfig, ResultCache};

@@ -192,12 +192,6 @@ pub enum Request {
     /// document carries a `trace` envelope id, only that trace's spans
     /// are returned; the request itself is never traced.
     Trace,
-    /// A cluster peer asking whether this shard already holds the
-    /// result for a spec. Answered purely from the cache — a
-    /// [`Response::Result`] on a hit, [`Response::PeerMiss`] otherwise —
-    /// and never enqueued, so peer probes can neither execute work nor
-    /// recurse across the ring.
-    PeerFill(ExploreSpec),
     /// Stop accepting work, drain in-flight jobs, and exit.
     Shutdown,
 }
@@ -237,10 +231,6 @@ impl Request {
             }
             Request::Trace => {
                 o.str("type", "trace");
-            }
-            Request::PeerFill(spec) => {
-                o.str("type", "peer_fill");
-                spec.json_into(&mut o);
             }
             Request::Shutdown => {
                 o.str("type", "shutdown");
@@ -289,7 +279,6 @@ impl Request {
             "cache_stats" => Ok(Request::CacheStats),
             "metrics" => Ok(Request::Metrics),
             "trace" => Ok(Request::Trace),
-            "peer_fill" => Ok(Request::PeerFill(ExploreSpec::from_value(&v)?)),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(WireError::bad_request(format!(
                 "unknown request type `{other}`"
@@ -856,11 +845,6 @@ pub enum Response {
     Metrics(String),
     /// The recent-span ring, answering [`Request::Trace`].
     Trace(TracePayload),
-    /// The shard does not hold the requested spec, answering
-    /// [`Request::PeerFill`]. Deliberately distinct from
-    /// [`Response::Error`]: a peer miss is the expected cold-path
-    /// outcome, not a failure.
-    PeerMiss,
     /// Acknowledgement of a shutdown request; the server drains and
     /// exits after sending it.
     Bye,
@@ -909,9 +893,6 @@ impl Response {
             }
             Response::Trace(t) => {
                 o.str("type", "trace").raw("spans", &t.to_json_value());
-            }
-            Response::PeerMiss => {
-                o.str("type", "peer_miss");
             }
             Response::Bye => {
                 o.str("type", "bye");
@@ -986,7 +967,6 @@ impl Response {
                     .ok_or_else(|| WireError::bad_request("missing `spans`"))?;
                 Ok(Response::Trace(TracePayload::from_value(t)?))
             }
-            "peer_miss" => Ok(Response::PeerMiss),
             "bye" => Ok(Response::Bye),
             "error" => Ok(Response::Error(WireError {
                 code: require_str(&v, "code")
@@ -1199,7 +1179,6 @@ mod tests {
             Request::CacheStats,
             Request::Metrics,
             Request::Trace,
-            Request::PeerFill(sample_spec()),
             Request::Shutdown,
         ] {
             let json = req.to_json();
@@ -1241,7 +1220,6 @@ mod tests {
                 compression_ratio: 2.5,
             }),
             Response::Metrics("# HELP x y\n# TYPE x counter\nx 1\n".into()),
-            Response::PeerMiss,
             Response::Bye,
             Response::Error(WireError::new(ErrorCode::Busy, "queue full (depth 64)")),
         ] {

@@ -18,18 +18,17 @@
 //! return.
 
 use crate::cache::{CacheConfig, ResultCache};
-use crate::client::Client;
 use crate::exec;
 use crate::parallel;
 use crate::protocol::{
-    fnv1a, read_frame, write_frame, ErrorCode, ExploreResult, ExploreSpec, FrameError, Request,
-    Response, SpanPayload, StatusPayload, TracePayload, WireError,
+    read_frame, write_frame, ErrorCode, ExploreResult, ExploreSpec, FrameError, Request, Response,
+    SpanPayload, StatusPayload, TracePayload, WireError,
 };
 use crate::telemetry::{AccessLog, AccessRecord, ServiceMetrics, SLOW_REQUEST_NS};
 use bfdn_obs::tracing::{hex16, SpanRecord, SpanRecorder, SpanSink, TraceWriter, Tracer};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -86,13 +85,6 @@ pub struct ServerConfig {
     /// JSONL per-span lines, or a Perfetto-loadable Chrome trace-event
     /// array when the path ends in `.json`.
     pub trace_out: Option<PathBuf>,
-    /// Wire addresses of the other shards in this daemon's cluster.
-    /// When non-empty, a local cache miss first asks each peer (in a
-    /// key-rotated order) for its cached result over
-    /// [`Request::PeerFill`] before executing — so across a ring a spec
-    /// is computed once and then copied, not recomputed per shard.
-    /// Empty (the default) disables peer cache-fill entirely.
-    pub peers: Vec<String>,
     /// Rotate the access log to `<path>.1` (keeping one generation)
     /// when a line would push it past this many bytes; `0` (the
     /// default) never rotates.
@@ -114,7 +106,6 @@ impl Default for ServerConfig {
             batch_split: 32,
             read_timeout_ms: 30_000,
             trace_out: None,
-            peers: Vec::new(),
             access_log_max_bytes: 0,
         }
     }
@@ -123,11 +114,6 @@ impl Default for ServerConfig {
 /// Threads answering `/metrics` scrapes: the listener hands accepted
 /// sockets to this fixed pool instead of spawning a thread per scrape.
 const METRICS_SCRAPERS: usize = 2;
-
-/// Connect *and* read budget for one peer cache-fill probe. A dead or
-/// blackholed peer costs at most this much per probe before the shard
-/// falls back to executing locally.
-const PEER_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// An active trace context: the trace id and the span new child spans
 /// should be parented under.
@@ -288,9 +274,6 @@ struct Shared {
     workers: usize,
     batch_split: usize,
     read_timeout_ms: u64,
-    /// Cluster peers to ask before executing a local miss (empty: no
-    /// peer cache-fill).
-    peers: Vec<String>,
     started: Instant,
 }
 
@@ -373,66 +356,6 @@ impl Shared {
             self.tracer.record(span);
         }
         Ok(result)
-    }
-
-    /// Asks each configured cluster peer for its cached copy of `spec`
-    /// before this shard executes it. Peers are probed in a
-    /// key-rotated order (so a hot key does not hammer the same peer
-    /// from every shard) with the bounded [`PEER_TIMEOUT`] per probe; the
-    /// first hit is margin-re-checked, counted in
-    /// `bfdn_peer_fill_hit_total`, stored locally, and served with
-    /// `cached = true`. When every peer misses (or is unreachable) the
-    /// caller executes locally and `bfdn_peer_fill_miss_total` counts
-    /// the cold path. No-op returning `None` when no peers are
-    /// configured. Two shards missing the same spec concurrently can
-    /// still both execute it — peer fill removes the steady-state
-    /// recomputation, not the race.
-    fn peer_fill_lookup(&self, spec: &ExploreSpec, ctx: Option<SpanCtx>) -> Option<ExploreResult> {
-        if self.peers.is_empty() {
-            return None;
-        }
-        let start_ns = self.tracer.now_ns();
-        let canonical = spec.canonical();
-        let start = fnv1a(canonical.as_bytes()) as usize % self.peers.len();
-        for i in 0..self.peers.len() {
-            let peer = &self.peers[(start + i) % self.peers.len()];
-            let Some(addr) = peer
-                .to_socket_addrs()
-                .ok()
-                .and_then(|mut addrs| addrs.next())
-            else {
-                continue;
-            };
-            let Ok(mut client) = Client::connect_timeout(&addr, PEER_TIMEOUT) else {
-                continue;
-            };
-            if client.set_read_timeout(Some(PEER_TIMEOUT)).is_err() {
-                continue;
-            }
-            // Propagate the request's trace envelope on the PeerFill
-            // frame, so the peer's span ring records its side of the
-            // probe under the same trace id and a fleet-side stitch can
-            // join the hop (without this the peer's work is invisible).
-            client.set_trace(ctx.map(|c| c.trace));
-            if let Ok(Some(result)) = client.peer_fill(spec.clone()) {
-                // Trust but verify: the serving shard re-asserts the
-                // Theorem 1 bound on every payload it hands out, even
-                // ones a peer computed.
-                self.telemetry.record_peer_margins(&result);
-                self.telemetry.peer_fill_hit();
-                self.cache.put(&result);
-                if let Some(span) = self.span(ctx, "peer_fill", start_ns) {
-                    self.tracer
-                        .record(span.attr_bool("hit", true).attr_str("peer", peer.clone()));
-                }
-                return Some(result);
-            }
-        }
-        self.telemetry.peer_fill_miss();
-        if let Some(span) = self.span(ctx, "peer_fill", start_ns) {
-            self.tracer.record(span.attr_bool("hit", false));
-        }
-        None
     }
 
     /// Snapshots the recent-span ring for a [`Request::Trace`] reply,
@@ -619,7 +542,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         workers,
         batch_split: config.batch_split.max(1),
         read_timeout_ms: config.read_timeout_ms,
-        peers: config.peers,
         started: Instant::now(),
     });
 
@@ -882,18 +804,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 /// fan out over the parallel substrate, and the reply preserves request
 /// order.
 fn run_batch(shared: &Arc<Shared>, specs: &[ExploreSpec], ctx: Option<SpanCtx>) -> Response {
-    // A batch item missing locally still tries the cluster peers before
-    // it counts as pending; a peer-filled item is a hit — it was served
-    // without executing anything here.
-    let looked_up: Vec<Option<ExploreResult>> = specs
-        .iter()
-        .map(|spec| {
-            shared
-                .cache
-                .get(spec)
-                .or_else(|| shared.peer_fill_lookup(spec, ctx))
-        })
-        .collect();
+    let looked_up: Vec<Option<ExploreResult>> =
+        specs.iter().map(|spec| shared.cache.get(spec)).collect();
     let pending: Vec<&ExploreSpec> = specs
         .iter()
         .zip(&looked_up)
@@ -1167,17 +1079,6 @@ fn dispatch(
             log.kind = "trace";
             Response::Trace(shared.trace_snapshot(envelope))
         }
-        Request::PeerFill(spec) => {
-            log.kind = "peer_fill";
-            log.key = spec.canonical();
-            // Answered from the cache alone — a peer probe can neither
-            // enqueue work nor trigger this shard's own peer probes, so
-            // fill traffic cannot recurse around the ring.
-            match shared.cache.peek(&spec) {
-                Some(result) => Response::Result(Box::new(result)),
-                None => Response::PeerMiss,
-            }
-        }
         Request::Shutdown => {
             log.kind = "shutdown";
             shared.draining.store(true, Ordering::SeqCst);
@@ -1198,9 +1099,6 @@ fn dispatch(
             }
             if let Some(hit) = hit {
                 return Response::Result(Box::new(hit));
-            }
-            if let Some(filled) = shared.peer_fill_lookup(&spec, ctx) {
-                return Response::Result(Box::new(filled));
             }
             enqueue_and_wait(shared, JobKind::One(spec), false, log, ctx)
         }

@@ -29,14 +29,13 @@ use std::sync::{Arc, Mutex};
 
 /// The request types tracked by `bfdn_requests_total{type=...}`;
 /// `invalid` covers frames that decode to no known request.
-pub const REQUEST_TYPES: [&str; 9] = [
+pub const REQUEST_TYPES: [&str; 8] = [
     "explore",
     "batch",
     "status",
     "cache_stats",
     "metrics",
     "trace",
-    "peer_fill",
     "shutdown",
     "invalid",
 ];
@@ -52,7 +51,7 @@ pub const SLOW_PHASES: [&str; 4] = ["queue_wait", "execute", "serialize", "other
 /// the access log.
 pub const SLOW_REQUEST_NS: u64 = 1_000_000_000;
 
-/// Margin samples kept in the per-shard bound-margin window ring;
+/// Margin samples kept in the per-daemon bound-margin window ring;
 /// `bfdn_bound_margin_window_worst` is the minimum over this window, so
 /// it recovers after a transient dip where the all-time
 /// `bfdn_bound_margin_worst` gauge cannot.
@@ -93,8 +92,6 @@ pub struct ServiceMetrics {
     store_compactions: Arc<Counter>,
     store_truncated_segments: Arc<Counter>,
     worker_busy: Vec<Arc<Counter>>,
-    peer_fill_hits: Arc<Counter>,
-    peer_fill_misses: Arc<Counter>,
     bound_checked: Arc<Counter>,
     bound_violations: Arc<Counter>,
     margin_theorem1: Arc<Gauge>,
@@ -264,16 +261,6 @@ impl ServiceMetrics {
                 &[],
             ),
             worker_busy,
-            peer_fill_hits: registry.counter(
-                "bfdn_peer_fill_hit_total",
-                "Local cache misses answered from a cluster peer's cache.",
-                &[],
-            ),
-            peer_fill_misses: registry.counter(
-                "bfdn_peer_fill_miss_total",
-                "Local cache misses no configured peer could answer.",
-                &[],
-            ),
             bound_checked: registry.counter(
                 "bfdn_bound_checked_total",
                 "Executed runs whose Theorem 1 / Lemma 2 margins were checked.",
@@ -375,35 +362,10 @@ impl ServiceMetrics {
         }
     }
 
-    /// Counts one local miss a cluster peer's cache answered.
-    pub fn peer_fill_hit(&self) {
-        self.peer_fill_hits.inc();
-    }
-
-    /// Counts one local miss no configured peer could answer.
-    pub fn peer_fill_miss(&self) {
-        self.peer_fill_misses.inc();
-    }
-
-    /// Re-checks the Theorem 1 margin of a result received from a
-    /// cluster peer before serving it. Trust-but-verify: the peer
-    /// already checked its own execution, but every shard that serves a
-    /// payload re-asserts the paper's bound on it, so
-    /// `bfdn_bound_violations_total == 0` on a shard covers everything
-    /// that shard handed out — peer-filled or home-grown.
-    pub fn record_peer_margins(&self, result: &ExploreResult) {
-        self.bound_checked.inc();
-        self.margin_theorem1.set_min(result.margin);
-        self.margin_window_push(result.margin, result.bound);
-        if result.margin < 0.0 {
-            self.bound_violations.inc();
-        }
-    }
-
     /// Folds one margin sample into the bounded window ring, refreshes
     /// the window-worst gauge, and fires the watchdog when the margin
     /// has eroded below [`MARGIN_WATCHDOG_FRACTION`] of its bound — the
-    /// fleet-level early warning that a shard is trending toward a
+    /// early warning that the daemon is trending toward a
     /// Theorem 1 violation without having crossed it yet.
     fn margin_window_push(&self, margin: f64, bound: f64) {
         let mut window = self.margin_window.lock().expect("margin window");

@@ -303,6 +303,36 @@ fn wire_garbage_gets_structured_errors() {
         other => panic!("expected error, got {other:?}"),
     }
 
+    // The retired peer cache-fill verb is an unknown request type like
+    // any other: bad_request, and the connection stays usable.
+    write_frame(
+        &mut stream,
+        r#"{"v":1,"type":"peer_fill","algorithm":"bfdn","family":"comb","n":50,"k":2,"seed":1}"#,
+    )
+    .unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    match Response::from_json(&reply).unwrap() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
+        other => panic!("expected error, got {other:?}"),
+    }
+    write_frame(&mut stream, &Request::Metrics.to_json()).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    let text = match Response::from_json(&reply).unwrap() {
+        Response::Metrics(text) => text,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    let scrape = bfdn_obs::exposition::parse_exposition(&text);
+    // The malformed-JSON frame and the peer_fill frame.
+    assert_eq!(
+        scrape.value("bfdn_requests_total", &[("type", "invalid")]),
+        Some(2.0),
+        "{text}"
+    );
+    assert_eq!(
+        scrape.value("bfdn_requests_total", &[("type", "peer_fill")]),
+        None
+    );
+
     // Wrong protocol version → structured unsupported_version.
     write_frame(&mut stream, r#"{"v":99,"type":"status"}"#).unwrap();
     let reply = read_frame(&mut stream).unwrap();
@@ -383,7 +413,7 @@ fn telemetry_traces_a_known_request_sequence() {
     );
     // The two executed jobs ran on some workers, each adding its exact
     // execute time to its busy counter.
-    let busy_ns: f64 = bfdn_obs::fleet::parse_exposition(&text)
+    let busy_ns: f64 = bfdn_obs::exposition::parse_exposition(&text)
         .samples
         .iter()
         .filter(|s| s.name == "bfdn_worker_busy_ns_total")
@@ -586,90 +616,4 @@ fn client_hangup_still_closes_the_request_span() {
 
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
-}
-
-#[test]
-fn traced_peer_fill_spans_both_shards_and_stitches_into_one_tree() {
-    use bfdn_service::stitch::{stitch, ProcessSpans};
-
-    // Shard A computes the spec; shard B is peered at A and has never
-    // seen it, so a request on B goes through the peer cache-fill path.
-    let peer = start(ServerConfig::default());
-    let peer_addr = peer.addr().to_string();
-    let home = start(ServerConfig {
-        peers: vec![peer_addr.clone()],
-        ..ServerConfig::default()
-    });
-
-    let spec = ExploreSpec::new("bfdn", "comb", 150, 4, 11);
-    let mut warm = connect(&peer);
-    assert!(!warm.explore(spec.clone()).expect("warm the peer").cached);
-
-    let trace = 0x00f1ee7f1ee7f00d;
-    let mut client = connect(&home);
-    client.set_trace(Some(trace));
-    let filled = client.explore(spec).expect("peer-filled result");
-    assert!(filled.cached, "served from the peer's cache, not executed");
-
-    // The requesting shard's ring: a back-dated peer_fill child span
-    // carrying the peer's address — the hop the old wire frames lost.
-    let home_spans = client.trace_spans(Some(trace)).expect("home ring");
-    assert_eq!(home_spans.dropped, 0);
-    let fill = home_spans
-        .spans
-        .iter()
-        .find(|s| s.name == "peer_fill")
-        .expect("peer_fill span on the requesting shard");
-    assert!(fill
-        .attrs
-        .iter()
-        .any(|(k, v)| k == "peer" && *v == peer_addr));
-    assert!(fill.attrs.iter().any(|(k, v)| k == "hit" && v == "true"));
-    let root = home_spans
-        .spans
-        .iter()
-        .find(|s| s.parent == 0)
-        .expect("request root");
-    assert_eq!(fill.parent, root.span, "peer_fill hangs under the root");
-
-    // The trace envelope rode the PeerFill frame: the peer's ring holds
-    // its side of the probe under the same trace id.
-    let mut peer_client = connect(&peer);
-    let peer_spans = peer_client.trace_spans(Some(trace)).expect("peer ring");
-    assert_eq!(peer_spans.dropped, 0);
-    assert!(
-        !peer_spans.spans.is_empty(),
-        "peer recorded the probe under the propagated trace id"
-    );
-
-    // Stitched: one tree across both processes, the peer's request
-    // hanging under the home shard's peer_fill span.
-    let stitched = stitch(&[
-        ProcessSpans::from_payload("home", home_spans),
-        ProcessSpans::from_payload(&peer_addr, peer_spans),
-    ]);
-    assert_eq!(stitched.dropped, 0);
-    assert_eq!(
-        stitched.spans.iter().filter(|s| s.parent == 0).count(),
-        1,
-        "stitching yields a single root"
-    );
-    let fill = stitched
-        .spans
-        .iter()
-        .find(|s| s.name == "peer_fill")
-        .expect("stitched peer_fill");
-    let remote_root = stitched
-        .spans
-        .iter()
-        .find(|s| {
-            s.parent == fill.span && s.attrs.iter().any(|(k, v)| k == "shard" && *v == peer_addr)
-        })
-        .expect("peer-side request re-parented under the peer_fill hop");
-    assert!(remote_root.start_ns >= fill.start_ns);
-
-    client.shutdown().expect("bye home");
-    home.join().expect("drain home");
-    peer_client.shutdown().expect("bye peer");
-    peer.join().expect("drain peer");
 }

@@ -1,16 +1,19 @@
 //! End-to-end tests of the store-backed daemon: a restart against a
-//! populated store serves byte-identically with zero re-executions, a
-//! crash-truncated segment tail is tolerated (never fatal), a legacy
-//! spill migrated offline into the store serves from disk, and the
-//! resident-bytes budget holds under load while overflow stays
-//! retrievable.
+//! populated store serves byte-identically with zero re-executions —
+//! after a graceful drain and after a SIGKILL of the real `bfdn-serve`
+//! process alike — a crash-truncated segment tail is tolerated (never
+//! fatal), a legacy spill migrated offline into the store serves from
+//! disk, and the resident-bytes budget holds under load while overflow
+//! stays retrievable.
 
 use bfdn_service::client::Client;
 use bfdn_service::migrate_spill;
 use bfdn_service::protocol::ExploreSpec;
 use bfdn_service::server::{serve, ServerConfig, ServerHandle};
 use bfdn_store::{Store, StoreConfig};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 fn start(config: ServerConfig) -> ServerHandle {
@@ -94,6 +97,93 @@ fn restart_from_store_is_byte_identical_with_zero_reexecutions() {
     );
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A real `bfdn-serve` child process. Dropping it SIGKILLs whatever is
+/// still running, so a failing test leaves no daemon behind.
+struct ServeProcess {
+    child: Child,
+    addr: String,
+}
+
+impl ServeProcess {
+    /// Spawns the binary on `dir` and reads its wire address from the
+    /// `listening on` line it prints once it accepts connections.
+    fn spawn(dir: &Path) -> Self {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_bfdn-serve"))
+            .args(["--addr", "127.0.0.1:0", "--store-dir"])
+            .arg(dir)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn bfdn-serve");
+        let mut lines = BufReader::new(child.stderr.take().expect("stderr")).lines();
+        let addr = lines.by_ref().map_while(Result::ok).find_map(|line| {
+            line.strip_prefix("bfdn-serve: listening on ")
+                .map(str::to_string)
+        });
+        // Keep draining stderr so the daemon never blocks on a full pipe.
+        std::thread::spawn(move || lines.for_each(drop));
+        let Some(addr) = addr else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("bfdn-serve exited before listening");
+        };
+        ServeProcess { child, addr }
+    }
+
+    fn connect(&self) -> Client {
+        let client = Client::connect(self.addr.as_str()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        client
+    }
+}
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The break-down drill: the daemon process is SIGKILLed right after
+/// serving a cold batch — no drain, no index persisted — and a restart
+/// on the same store directory must still answer the whole batch from
+/// disk, byte-identically, without executing anything.
+#[test]
+fn sigkilled_daemon_restarts_on_its_store_with_zero_reexecutions() {
+    let dir = std::env::temp_dir().join("bfdn_store_e2e_sigkill");
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs: Vec<ExploreSpec> = (0..6).map(spec_for).collect();
+
+    let mut daemon = ServeProcess::spawn(&dir);
+    let (cold, hits, misses) = daemon.connect().batch(specs.clone()).expect("cold batch");
+    assert_eq!((hits, misses), (0, 6));
+    daemon.child.kill().expect("SIGKILL");
+    let status = daemon.child.wait().expect("reap");
+    assert!(!status.success(), "killed, not drained: {status}");
+    drop(daemon);
+
+    let mut daemon = ServeProcess::spawn(&dir);
+    let mut client = daemon.connect();
+    let (warm, hits, misses) = client.batch(specs).expect("warm batch");
+    assert_eq!((hits, misses), (6, 0), "every item served from the store");
+    for (c, w) in cold.iter().zip(&warm) {
+        assert!(w.cached);
+        assert_eq!(c.payload_json(), w.payload_json(), "byte-identical");
+    }
+    let text = client.metrics().expect("metrics");
+    assert!(
+        text.contains("bfdn_bound_checked_total 0"),
+        "zero re-executions after the kill: {text}"
+    );
+    client.shutdown().expect("bye");
+    assert!(daemon.child.wait().expect("reap").success(), "clean drain");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
