@@ -6,8 +6,7 @@
 //!            [--store-dir DIR] [--store-budget-bytes N] [--compact-trigger N]
 //!            [--metrics-addr HOST:PORT]
 //!            [--access-log PATH] [--access-log-max-bytes N]
-//!            [--batch-split N] [--read-timeout-ms MS]
-//!            [--trace-out PATH]
+//!            [--read-timeout-ms MS] [--trace-out PATH]
 //! ```
 //!
 //! `--store-dir` backs the cache with the log-structured compressed
@@ -69,11 +68,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
             }
             "--metrics-addr" => config.metrics_addr = Some(value("--metrics-addr")?),
             "--access-log" => config.access_log = Some(PathBuf::from(value("--access-log")?)),
-            "--batch-split" => {
-                let v = value("--batch-split")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --batch-split `{v}`"))?;
-                config.batch_split = n.max(1);
-            }
             "--read-timeout-ms" => {
                 let v = value("--read-timeout-ms")?;
                 config.read_timeout_ms = v
@@ -93,7 +87,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                      --cache-capacity --cache-shards --store-dir \
                      --store-budget-bytes --compact-trigger \
                      --metrics-addr --access-log --access-log-max-bytes \
-                     --batch-split --read-timeout-ms --trace-out)"
+                     --read-timeout-ms --trace-out)"
                 ))
             }
         }
@@ -133,7 +127,7 @@ mod tests {
     use super::parse;
 
     /// Every flag `bfdn-serve` accepts, each with a value `parse` takes.
-    const KEPT: [(&str, &str); 14] = [
+    const KEPT: [(&str, &str); 13] = [
         ("--addr", "127.0.0.1:0"),
         ("--workers", "2"),
         ("--queue-depth", "8"),
@@ -145,12 +139,11 @@ mod tests {
         ("--metrics-addr", "127.0.0.1:0"),
         ("--access-log", "access.jsonl"),
         ("--access-log-max-bytes", "4096"),
-        ("--batch-split", "4"),
         ("--read-timeout-ms", "100"),
         ("--trace-out", "trace.json"),
     ];
 
-    const REMOVED: [&str; 8] = [
+    const REMOVED: [&str; 9] = [
         "--manifest-dir",
         "--metrics-scrapers",
         "--slow-ms",
@@ -159,6 +152,7 @@ mod tests {
         "--profile-interval-ms",
         "--profile-out",
         "--peers",
+        "--batch-split",
     ];
 
     fn args(list: &[&str]) -> Vec<String> {

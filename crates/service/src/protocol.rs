@@ -14,8 +14,8 @@
 //! typed [`Request`]/[`Response`] enums by
 //! [`Request::to_json_traced`]/[`Request::from_json_traced`] (and the
 //! `Response` twins). The server echoes a request's trace id in its
-//! reply and threads it through batch-split sub-jobs, so one traced
-//! request yields one span tree; [`Request::Trace`] fetches the
+//! reply and threads it through every job its cache misses make, so
+//! one traced request yields one span tree; [`Request::Trace`] fetches the
 //! server's recent-span ring ([`TracePayload`]) for live introspection.
 //! The trace id deliberately stays out of [`ExploreSpec::canonical`]:
 //! tracing must never fragment the result cache.

@@ -1,16 +1,17 @@
 //! The serving daemon: a threaded TCP server with a bounded job queue,
-//! a worker pool on the shared parallel substrate, and the
-//! content-addressed result cache in front of execution.
+//! a worker pool, and the content-addressed result cache in front of
+//! execution.
 //!
 //! Life of a request: a connection handler thread reads one frame,
-//! decodes and validates it, and answers cache hits immediately. Misses
-//! become jobs on a bounded queue — when the queue is at its configured
-//! depth the handler replies [`ErrorCode::Busy`] instead of blocking,
-//! which is the service's backpressure contract. Worker threads drain
-//! the queue; a batch job fans its uncached items out through
-//! [`crate::parallel::par_map`], so one large sweep request saturates
-//! the machine exactly like the local harness does. Every executed spec
-//! lands in the cache before its reply is sent.
+//! decodes and validates it, looks every spec up in the cache exactly
+//! once and answers the hits itself; an explore is a batch of one. The
+//! misses become jobs of at most `MAX_JOB_SPECS` specs on a bounded
+//! queue, sized to spread one request over the worker pool — when the
+//! queue is at its configured depth the handler replies
+//! [`ErrorCode::Busy`] instead of blocking, which is the service's
+//! backpressure contract. Each worker runs its job's specs inline, in
+//! order, so the pool is the only scheduler. Every executed spec lands
+//! in the cache before its reply is sent.
 //!
 //! [`Request::Shutdown`] answers [`Response::Bye`], stops accepting new
 //! work, drains the queue and in-flight jobs, persists the result
@@ -30,7 +31,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -45,7 +46,8 @@ pub struct ServerConfig {
     /// [`parallel::num_threads`].
     pub workers: Option<usize>,
     /// Jobs the queue holds before new misses are rejected with
-    /// [`ErrorCode::Busy`] (a batch counts as one job).
+    /// [`ErrorCode::Busy`] (one job carries up to 32 cache misses of
+    /// one request).
     pub queue_depth: usize,
     /// Result-cache sizing.
     pub cache: CacheConfig,
@@ -71,10 +73,6 @@ pub struct ServerConfig {
     /// When set, every finished request appends one JSON line (id,
     /// type, spec key, outcome, phase timings) to this file.
     pub access_log: Option<PathBuf>,
-    /// Batches larger than this are split into cap-sized sub-jobs at
-    /// enqueue time, so one huge batch cannot monopolize the queue and
-    /// concurrent batch clients interleave chunk by chunk.
-    pub batch_split: usize,
     /// Per-connection read budget in milliseconds: the idle wait for the
     /// next frame *and* the deadline for completing a started frame
     /// (slow-loris writers are cut off, not accumulated). `0` disables
@@ -103,13 +101,18 @@ impl Default for ServerConfig {
             compact_trigger_bytes: 8 * 1024 * 1024,
             metrics_addr: None,
             access_log: None,
-            batch_split: 32,
             read_timeout_ms: 30_000,
             trace_out: None,
             access_log_max_bytes: 0,
         }
     }
 }
+
+/// Specs one job carries at most. A request's misses are cut into
+/// `misses / workers` (rounded up) specs per job under this cap, so a
+/// large batch spreads over the pool yet leaves queue slots between its
+/// jobs for other clients.
+const MAX_JOB_SPECS: usize = 32;
 
 /// Threads answering `/metrics` scrapes: the listener hands accepted
 /// sockets to this fixed pool instead of spawning a thread per scrape.
@@ -123,30 +126,23 @@ struct SpanCtx {
     parent: u64,
 }
 
-/// One queued unit of work plus the channel its reply goes back on.
+/// One queued unit of work — cache misses of one request, run in order
+/// on one worker — plus the channel its reply goes back on.
 struct Job {
-    kind: JobKind,
+    specs: Vec<ExploreSpec>,
     enqueued: Instant,
-    reply: mpsc::Sender<Response>,
-    /// Filled by the worker so the connection handler can log per-phase
-    /// timings after the reply arrives.
-    timing: Arc<JobTiming>,
-    /// The request's trace context, carried across the queue so the
+    reply: mpsc::Sender<JobReply>,
+    /// The job's `chunk` span context, carried across the queue so the
     /// worker's `queue_wait`/`execute` spans join the caller's tree.
     trace: Option<SpanCtx>,
 }
 
-/// Per-job phase timings, written by the worker and read by the
-/// connection handler for the access log.
-#[derive(Default)]
-struct JobTiming {
-    queue_wait_ns: AtomicU64,
-    exec_ns: AtomicU64,
-}
-
-enum JobKind {
-    One(ExploreSpec),
-    Batch(Vec<ExploreSpec>),
+/// A finished job: its results in spec order (or the first error) and
+/// the phase timings the connection handler logs.
+struct JobReply {
+    results: Result<Vec<ExploreResult>, WireError>,
+    queue_wait_ns: u64,
+    exec_ns: u64,
 }
 
 /// Why a job could not be enqueued.
@@ -166,6 +162,10 @@ struct JobQueue {
 
 struct QueueState {
     jobs: VecDeque<Job>,
+    /// Jobs popped but not yet marked [`JobQueue::done`]. Counted under
+    /// the same lock as `jobs`, so a job is always visible in one of
+    /// the two.
+    in_flight: usize,
     open: bool,
 }
 
@@ -174,6 +174,7 @@ impl JobQueue {
         JobQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
+                in_flight: 0,
                 open: true,
             }),
             ready: Condvar::new(),
@@ -198,10 +199,10 @@ impl JobQueue {
     }
 
     /// Blocking push: waits for a free slot instead of rejecting. Used
-    /// only for the follow-up chunks of an already-accepted split batch
-    /// — the first chunk went through [`JobQueue::push`], so the
-    /// backpressure contract (a full queue answers `Busy` to *new* work)
-    /// is preserved, while a started batch is guaranteed to finish.
+    /// only for the later jobs of an already-accepted request — its
+    /// first job went through [`JobQueue::push`], so the backpressure
+    /// contract (a full queue answers `Busy` to *new* work) is
+    /// preserved, while a started request is guaranteed to finish.
     /// Progress is guaranteed because workers never block on a push.
     fn push_wait(&self, job: Job) -> Result<(), PushError> {
         let mut state = self.state.lock().expect("job queue");
@@ -220,11 +221,12 @@ impl JobQueue {
 
     /// Blocking pop; returns `None` only when the queue is closed *and*
     /// fully drained, so every accepted job is executed before workers
-    /// exit.
+    /// exit. The popped job counts as in flight until [`JobQueue::done`].
     fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("job queue");
         loop {
             if let Some(job) = state.jobs.pop_front() {
+                state.in_flight += 1;
                 self.space.notify_one();
                 return Some(job);
             }
@@ -244,8 +246,26 @@ impl JobQueue {
         self.space.notify_all();
     }
 
+    /// Marks one popped job finished.
+    fn done(&self) {
+        self.state.lock().expect("job queue").in_flight -= 1;
+    }
+
     fn depth(&self) -> usize {
         self.state.lock().expect("job queue").jobs.len()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.state.lock().expect("job queue").in_flight
+    }
+
+    /// The drain condition every background loop exits on: the queue
+    /// is closed, empty, and no popped job is still running. Read under
+    /// one lock, so a job between [`JobQueue::pop`] and
+    /// [`JobQueue::done`] is never missed.
+    fn drained(&self) -> bool {
+        let state = self.state.lock().expect("job queue");
+        !state.open && state.jobs.is_empty() && state.in_flight == 0
     }
 }
 
@@ -257,7 +277,6 @@ struct Counters {
     batches: AtomicU64,
     rejects: AtomicU64,
     completed: AtomicU64,
-    in_flight: AtomicU64,
     queue_wait_ns: AtomicU64,
     exec_ns: AtomicU64,
 }
@@ -270,22 +289,12 @@ struct Shared {
     telemetry: ServiceMetrics,
     access_log: Option<AccessLog>,
     tracer: Tracer,
-    draining: AtomicBool,
     workers: usize,
-    batch_split: usize,
     read_timeout_ms: u64,
     started: Instant,
 }
 
 impl Shared {
-    /// The drain condition every background loop exits on: shutdown
-    /// was requested, the queue is empty and no job is in flight.
-    fn drained(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-            && self.queue.depth() == 0
-            && self.counters.in_flight.load(Ordering::SeqCst) == 0
-    }
-
     fn status(&self) -> StatusPayload {
         let cache = self.cache.stats();
         StatusPayload {
@@ -299,7 +308,7 @@ impl Shared {
             queue_depth: self.queue.depth() as u64,
             queue_capacity: self.queue.capacity as u64,
             workers: self.workers as u64,
-            in_flight: self.counters.in_flight.load(Ordering::Relaxed),
+            in_flight: self.queue.in_flight() as u64,
             queue_wait_ns: self.counters.queue_wait_ns.load(Ordering::Relaxed),
             exec_ns: self.counters.exec_ns.load(Ordering::Relaxed),
             uptime_ms: u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
@@ -314,24 +323,15 @@ impl Shared {
         Some(SpanRecord::new(c.trace, self.tracer.next_id(), c.parent, name).at(start_ns, duration))
     }
 
-    /// Runs one spec (after a final cache re-check — another worker may
-    /// have computed it while this job queued) and stores the result.
-    /// Every fresh execution feeds its Theorem 1 / Lemma 2 margins into
-    /// the daemon-wide aggregates. When `ctx` is set, the lookup, the
-    /// run (with its simulator phases) and the insert each get a span.
+    /// Runs one cache-missed spec and stores the result. Every
+    /// execution feeds its Theorem 1 / Lemma 2 margins into the
+    /// daemon-wide aggregates. When `ctx` is set, the run (with its
+    /// simulator phases) and the insert each get a span.
     fn execute(
         &self,
         spec: &ExploreSpec,
         ctx: Option<SpanCtx>,
     ) -> Result<ExploreResult, WireError> {
-        let lookup_start = self.tracer.now_ns();
-        let hit = self.cache.get(spec);
-        if let Some(span) = self.span(ctx, "cache_lookup", lookup_start) {
-            self.tracer.record(span.attr_bool("hit", hit.is_some()));
-        }
-        if let Some(hit) = hit {
-            return Ok(hit);
-        }
         let run_start = self.tracer.now_ns();
         let run_span = ctx.map(|c| (c, self.tracer.next_id()));
         let (result, manifest) = match run_span {
@@ -386,7 +386,7 @@ impl Shared {
         self.telemetry.render(
             &self.cache.stats(),
             self.queue.depth() as u64,
-            self.counters.in_flight.load(Ordering::SeqCst),
+            self.queue.in_flight() as u64,
         )
     }
 }
@@ -418,7 +418,6 @@ impl ServerHandle {
 
     /// Programmatic equivalent of a [`Request::Shutdown`] frame.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue.close();
     }
 
@@ -538,9 +537,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         telemetry: ServiceMetrics::new(workers),
         access_log,
         tracer,
-        draining: AtomicBool::new(false),
         workers,
-        batch_split: config.batch_split.max(1),
         read_timeout_ms: config.read_timeout_ms,
         started: Instant::now(),
     });
@@ -603,7 +600,7 @@ const STORE_MAINTENANCE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// The background compactor: folds the store's superseded records into
 /// fresh segments whenever its dead-bytes trigger is crossed. Runs one
-/// final pass after [`Shared::drained`] so a shutdown-time supersede
+/// final pass after [`JobQueue::drained`] so a shutdown-time supersede
 /// still gets reclaimed, then exits like the accept loop.
 fn store_maintenance_loop(shared: &Arc<Shared>) {
     loop {
@@ -618,7 +615,7 @@ fn store_maintenance_loop(shared: &Arc<Shared>) {
             Ok(None) => {}
             Err(e) => eprintln!("bfdn-serve: store compaction failed: {e}"),
         }
-        if shared.drained() {
+        if shared.queue.drained() {
             return;
         }
         std::thread::sleep(STORE_MAINTENANCE_INTERVAL);
@@ -647,7 +644,7 @@ fn metrics_http_loop(
                 let _ = pool.try_send(stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.drained() {
+                if shared.queue.drained() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(10));
@@ -717,9 +714,8 @@ pub fn serve_http(
     let _ = stream.write_all(response.as_bytes());
 }
 
-/// Polls the non-blocking listener so the loop can observe the draining
-/// flag; exits once draining starts and the queue is empty with nothing
-/// in flight.
+/// Polls the non-blocking listener so the loop can observe a shutdown;
+/// exits once the queue is closed and empty with nothing in flight.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
@@ -728,7 +724,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 std::thread::spawn(move || handle_connection(stream, &shared));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.drained() {
+                if shared.queue.drained() {
                     return;
                 }
                 std::thread::sleep(Duration::from_millis(10));
@@ -741,14 +737,12 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// Drains the job queue until it is closed and empty.
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     while let Some(job) = shared.queue.pop() {
-        shared.counters.in_flight.fetch_add(1, Ordering::SeqCst);
         let waited = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared
             .counters
             .queue_wait_ns
             .fetch_add(waited, Ordering::Relaxed);
         shared.telemetry.observe_queue_wait(waited as f64 / 1e9);
-        job.timing.queue_wait_ns.store(waited, Ordering::Relaxed);
         if let Some(c) = job.trace {
             // Back-dated: the wait ended the moment this worker popped
             // the job.
@@ -765,24 +759,20 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         });
         let exec_start_ns = shared.tracer.now_ns();
         let exec_start = Instant::now();
-        let response = match &job.kind {
-            JobKind::One(spec) => match shared.execute(spec, exec_ctx) {
-                Ok(result) => Response::Result(Box::new(result)),
-                Err(e) => Response::Error(e),
-            },
-            JobKind::Batch(specs) => run_batch(shared, specs, exec_ctx),
-        };
+        // Inline and in order: the pool is the only scheduler, and the
+        // first failing spec ends the job.
+        let results = job
+            .specs
+            .iter()
+            .map(|spec| shared.execute(spec, exec_ctx))
+            .collect();
         let exec_ns = u64::try_from(exec_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if let Some((c, span)) = exec_span {
-            let items = match &job.kind {
-                JobKind::One(_) => 1,
-                JobKind::Batch(specs) => specs.len() as u64,
-            };
             shared.tracer.record(
                 SpanRecord::new(c.trace, span, c.parent, "execute")
                     .at(exec_start_ns, exec_ns)
                     .attr_u64("worker", index as u64)
-                    .attr_u64("items", items),
+                    .attr_u64("items", job.specs.len() as u64),
             );
         }
         shared
@@ -791,47 +781,15 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             .fetch_add(exec_ns, Ordering::Relaxed);
         shared.telemetry.observe_execute(exec_ns as f64 / 1e9);
         shared.telemetry.worker_busy(index, exec_ns);
-        job.timing.exec_ns.store(exec_ns, Ordering::Relaxed);
         // The handler may have given up (connection dropped); a dead
         // receiver is not an error worth crashing a worker for.
-        let _ = job.reply.send(response);
+        let _ = job.reply.send(JobReply {
+            results,
+            queue_wait_ns: waited,
+            exec_ns,
+        });
         shared.counters.completed.fetch_add(1, Ordering::SeqCst);
-        shared.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Executes a batch job: answered items come from the cache, the rest
-/// fan out over the parallel substrate, and the reply preserves request
-/// order.
-fn run_batch(shared: &Arc<Shared>, specs: &[ExploreSpec], ctx: Option<SpanCtx>) -> Response {
-    let looked_up: Vec<Option<ExploreResult>> =
-        specs.iter().map(|spec| shared.cache.get(spec)).collect();
-    let pending: Vec<&ExploreSpec> = specs
-        .iter()
-        .zip(&looked_up)
-        .filter_map(|(spec, hit)| hit.is_none().then_some(spec))
-        .collect();
-    let computed: Vec<Result<ExploreResult, WireError>> =
-        parallel::par_map(&pending, |spec| shared.execute(spec, ctx));
-
-    let hits = looked_up.iter().flatten().count() as u64;
-    let misses = pending.len() as u64;
-    let mut computed = computed.into_iter();
-    let mut results = Vec::with_capacity(specs.len());
-    for hit in looked_up {
-        let item = match hit {
-            Some(result) => result,
-            None => match computed.next().expect("one result per pending spec") {
-                Ok(result) => result,
-                Err(e) => return Response::Error(e),
-            },
-        };
-        results.push(item);
-    }
-    Response::Batch {
-        results,
-        hits,
-        misses,
+        shared.queue.done();
     }
 }
 
@@ -1081,157 +1039,176 @@ fn dispatch(
         }
         Request::Shutdown => {
             log.kind = "shutdown";
-            shared.draining.store(true, Ordering::SeqCst);
             shared.queue.close();
             Response::Bye
         }
         Request::Explore(spec) => {
             log.kind = "explore";
             log.key = spec.canonical();
-            shared.counters.explores.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = exec::validate(&spec) {
-                return Response::Error(e);
+            match serve_specs(shared, vec![spec], log, ctx) {
+                Ok((mut results, ..)) => {
+                    Response::Result(Box::new(results.pop().expect("one result per spec")))
+                }
+                Err(e) => Response::Error(e),
             }
-            let lookup_start = shared.tracer.now_ns();
-            let hit = shared.cache.get(&spec);
-            if let Some(span) = shared.span(ctx, "cache_lookup", lookup_start) {
-                shared.tracer.record(span.attr_bool("hit", hit.is_some()));
-            }
-            if let Some(hit) = hit {
-                return Response::Result(Box::new(hit));
-            }
-            enqueue_and_wait(shared, JobKind::One(spec), false, log, ctx)
         }
         Request::Batch(specs) => {
             log.kind = "batch";
             log.key = format!("batch[{}]", specs.len());
             shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-            shared
-                .counters
-                .explores
-                .fetch_add(specs.len() as u64, Ordering::Relaxed);
-            if let Some(e) = specs.iter().find_map(|s| exec::validate(s).err()) {
-                return Response::Error(e);
+            match serve_specs(shared, specs, log, ctx) {
+                Ok((results, hits, misses)) => Response::Batch {
+                    results,
+                    hits,
+                    misses,
+                },
+                Err(e) => Response::Error(e),
             }
-            if specs.len() > shared.batch_split {
-                return run_split_batch(shared, &specs, log, ctx);
-            }
-            enqueue_and_wait(shared, JobKind::Batch(specs), false, log, ctx)
         }
     }
 }
 
-/// Splits an oversized batch into [`ServerConfig::batch_split`]-sized
-/// chunks and pipelines them through the queue one at a time, so
-/// concurrent batch clients interleave chunk by chunk instead of
-/// queueing whole-batch head-to-tail (queue fairness). The first chunk
-/// goes through the non-blocking push — a full queue still answers
-/// `Busy` to *new* work — while follow-up chunks of the accepted batch
-/// wait for a slot, which cannot deadlock because workers never push.
-fn run_split_batch(
+/// Answers `specs` in request order with the hit and miss counts: each
+/// spec is validated and looked up once, here on the connection
+/// handler, and only the misses reach the worker pool.
+fn serve_specs(
     shared: &Arc<Shared>,
-    specs: &[ExploreSpec],
+    specs: Vec<ExploreSpec>,
     log: &mut ReqLog,
     ctx: Option<SpanCtx>,
-) -> Response {
-    let mut results = Vec::with_capacity(specs.len());
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for (index, chunk) in specs.chunks(shared.batch_split).enumerate() {
-        // Each sub-job gets one `chunk` span under the request root, so
-        // a split batch reads as one tree: request → chunk[i] →
-        // queue_wait/execute.
-        let chunk_ctx = ctx.map(|c| SpanCtx {
-            trace: c.trace,
-            parent: shared.tracer.next_id(),
-        });
-        let chunk_start = shared.tracer.now_ns();
-        let reply = enqueue_and_wait(
-            shared,
-            JobKind::Batch(chunk.to_vec()),
-            index > 0,
-            log,
-            chunk_ctx,
+) -> Result<(Vec<ExploreResult>, u64, u64), WireError> {
+    shared
+        .counters
+        .explores
+        .fetch_add(specs.len() as u64, Ordering::Relaxed);
+    if let Some(e) = specs.iter().find_map(|s| exec::validate(s).err()) {
+        return Err(e);
+    }
+    let lookup_start = shared.tracer.now_ns();
+    let looked_up: Vec<Option<ExploreResult>> =
+        specs.iter().map(|spec| shared.cache.get(spec)).collect();
+    let misses: Vec<ExploreSpec> = specs
+        .into_iter()
+        .zip(&looked_up)
+        .filter_map(|(spec, hit)| hit.is_none().then_some(spec))
+        .collect();
+    let hits = (looked_up.len() - misses.len()) as u64;
+    if let Some(span) = shared.span(ctx, "cache_lookup", lookup_start) {
+        shared.tracer.record(
+            span.attr_u64("items", looked_up.len() as u64)
+                .attr_u64("hits", hits),
         );
-        if let (Some(c), Some(cc)) = (ctx, chunk_ctx) {
-            let duration = shared.tracer.now_ns().saturating_sub(chunk_start);
+    }
+    let miss_count = misses.len() as u64;
+    let mut computed = run_jobs(shared, &misses, log, ctx)?.into_iter();
+    let results = looked_up
+        .into_iter()
+        .map(|hit| {
+            hit.or_else(|| computed.next())
+                .expect("one result per miss")
+        })
+        .collect();
+    Ok((results, hits, miss_count))
+}
+
+/// A queued job the connection handler waits on.
+struct Queued {
+    reply: mpsc::Receiver<JobReply>,
+    /// The job's `chunk` span context when the request is traced.
+    chunk: Option<SpanCtx>,
+    index: usize,
+    items: usize,
+    start_ns: u64,
+}
+
+/// Runs `misses` as jobs of `misses / workers` specs (rounded up, at
+/// most [`MAX_JOB_SPECS`]) and returns their results in order, blocking
+/// the connection handler (not the worker pool). At most one job per
+/// worker is outstanding; the next is queued when the oldest finishes,
+/// so other clients' jobs interleave with a large batch's. The first
+/// job goes through the non-blocking push — a full queue still answers
+/// `Busy` to *new* work — while later jobs of the accepted request wait
+/// for a slot, which cannot deadlock because workers never push. The
+/// first error, in spec order, becomes the reply.
+fn run_jobs(
+    shared: &Arc<Shared>,
+    misses: &[ExploreSpec],
+    log: &mut ReqLog,
+    ctx: Option<SpanCtx>,
+) -> Result<Vec<ExploreResult>, WireError> {
+    let per_job = misses
+        .len()
+        .div_ceil(shared.workers)
+        .clamp(1, MAX_JOB_SPECS);
+    let mut jobs = misses.chunks(per_job).enumerate();
+    let mut outstanding: VecDeque<Queued> = VecDeque::with_capacity(shared.workers);
+    let mut results = Vec::with_capacity(misses.len());
+    loop {
+        while outstanding.len() < shared.workers {
+            let Some((index, specs)) = jobs.next() else {
+                break;
+            };
+            outstanding.push_back(enqueue(shared, specs, index, ctx)?);
+        }
+        let Some(queued) = outstanding.pop_front() else {
+            return Ok(results);
+        };
+        let reply = queued
+            .reply
+            .recv()
+            .map_err(|_| WireError::new(ErrorCode::Internal, "worker dropped the job"))?;
+        log.queue_wait_ns += reply.queue_wait_ns;
+        log.exec_ns += reply.exec_ns;
+        if let (Some(c), Some(chunk)) = (ctx, queued.chunk) {
+            let duration = shared.tracer.now_ns().saturating_sub(queued.start_ns);
             shared.tracer.record(
-                SpanRecord::new(c.trace, cc.parent, c.parent, "chunk")
-                    .at(chunk_start, duration)
-                    .attr_u64("idx", index as u64)
-                    .attr_u64("items", chunk.len() as u64),
+                SpanRecord::new(c.trace, chunk.parent, c.parent, "chunk")
+                    .at(queued.start_ns, duration)
+                    .attr_u64("idx", queued.index as u64)
+                    .attr_u64("items", queued.items as u64),
             );
         }
-        match reply {
-            Response::Batch {
-                results: chunk_results,
-                hits: chunk_hits,
-                misses: chunk_misses,
-            } => {
-                results.extend(chunk_results);
-                hits += chunk_hits;
-                misses += chunk_misses;
-            }
-            // An error on any chunk (including ShuttingDown mid-batch)
-            // becomes the whole batch's reply.
-            other => return other,
-        }
-    }
-    Response::Batch {
-        results,
-        hits,
-        misses,
+        results.extend(reply.results?);
     }
 }
 
-/// Queues one job and blocks the connection handler (not the worker
-/// pool) until its reply is ready; full and closed queues answer
-/// immediately unless `wait_for_slot` marks this a follow-up chunk of
-/// an already-accepted split batch.
-fn enqueue_and_wait(
+/// Pushes job `index` of a request; only the first may be refused as
+/// `Busy`.
+fn enqueue(
     shared: &Arc<Shared>,
-    kind: JobKind,
-    wait_for_slot: bool,
-    log: &mut ReqLog,
+    specs: &[ExploreSpec],
+    index: usize,
     ctx: Option<SpanCtx>,
-) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
-        return Response::Error(WireError::new(
-            ErrorCode::ShuttingDown,
-            "server is draining",
-        ));
-    }
+) -> Result<Queued, WireError> {
+    let chunk = ctx.map(|c| SpanCtx {
+        trace: c.trace,
+        parent: shared.tracer.next_id(),
+    });
     let (tx, rx) = mpsc::channel();
-    let timing = Arc::new(JobTiming::default());
     let job = Job {
-        kind,
+        specs: specs.to_vec(),
         enqueued: Instant::now(),
         reply: tx,
-        timing: Arc::clone(&timing),
-        trace: ctx,
+        trace: chunk,
     };
-    let pushed = if wait_for_slot {
-        shared.queue.push_wait(job)
-    } else {
+    let start_ns = shared.tracer.now_ns();
+    let pushed = if index == 0 {
         shared.queue.push(job)
+    } else {
+        shared.queue.push_wait(job)
     };
     match pushed {
-        Ok(()) => match rx.recv() {
-            Ok(response) => {
-                // Accumulated (not assigned): a split batch passes the
-                // same log through every chunk.
-                log.queue_wait_ns += timing.queue_wait_ns.load(Ordering::Relaxed);
-                log.exec_ns += timing.exec_ns.load(Ordering::Relaxed);
-                response
-            }
-            Err(_) => Response::Error(WireError::new(
-                ErrorCode::Internal,
-                "worker dropped the job",
-            )),
-        },
+        Ok(()) => Ok(Queued {
+            reply: rx,
+            chunk,
+            index,
+            items: specs.len(),
+            start_ns,
+        }),
         Err(PushError::Full) => {
             shared.counters.rejects.fetch_add(1, Ordering::Relaxed);
             shared.telemetry.reject();
-            Response::Error(WireError::new(
+            Err(WireError::new(
                 ErrorCode::Busy,
                 format!(
                     "job queue is at its depth limit ({})",
@@ -1239,7 +1216,7 @@ fn enqueue_and_wait(
                 ),
             ))
         }
-        Err(PushError::Closed) => Response::Error(WireError::new(
+        Err(PushError::Closed) => Err(WireError::new(
             ErrorCode::ShuttingDown,
             "server is draining",
         )),
@@ -1250,23 +1227,24 @@ fn enqueue_and_wait(
 mod tests {
     use super::*;
 
+    fn job() -> Job {
+        Job {
+            specs: vec![ExploreSpec::new("bfdn", "comb", 10, 1, 0)],
+            enqueued: Instant::now(),
+            reply: mpsc::channel().0,
+            trace: None,
+        }
+    }
+
     #[test]
     fn queue_rejects_beyond_capacity_and_drains_after_close() {
         let q = JobQueue::new(2);
-        let (tx, _rx) = mpsc::channel();
-        let job = |tx: &mpsc::Sender<Response>| Job {
-            kind: JobKind::One(ExploreSpec::new("bfdn", "comb", 10, 1, 0)),
-            enqueued: Instant::now(),
-            reply: tx.clone(),
-            timing: Arc::new(JobTiming::default()),
-            trace: None,
-        };
-        assert!(q.push(job(&tx)).is_ok());
-        assert!(q.push(job(&tx)).is_ok());
-        assert!(matches!(q.push(job(&tx)), Err(PushError::Full)));
+        assert!(q.push(job()).is_ok());
+        assert!(q.push(job()).is_ok());
+        assert!(matches!(q.push(job()), Err(PushError::Full)));
         assert_eq!(q.depth(), 2);
         q.close();
-        assert!(matches!(q.push(job(&tx)), Err(PushError::Closed)));
+        assert!(matches!(q.push(job()), Err(PushError::Closed)));
         // Both accepted jobs survive the close.
         assert!(q.pop().is_some());
         assert!(q.pop().is_some());
@@ -1283,5 +1261,24 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(waiter.join().unwrap(), "pop returns None after close");
+    }
+
+    #[test]
+    fn a_popped_job_keeps_the_queue_undrained_until_done() {
+        let q = JobQueue::new(2);
+        assert!(q.push(job()).is_ok());
+        assert!(q.push(job()).is_ok());
+        q.close();
+        let held: Vec<Job> = (0..2).map(|_| q.pop().expect("queued")).collect();
+        // The queue is empty, yet both jobs are still held by workers:
+        // depth + in-flight must not read zero, nor the queue drained.
+        assert_eq!((q.depth(), q.in_flight()), (0, 2));
+        assert!(!q.drained());
+        drop(held);
+        q.done();
+        assert_eq!((q.depth(), q.in_flight()), (0, 1));
+        assert!(!q.drained());
+        q.done();
+        assert!(q.drained());
     }
 }

@@ -142,20 +142,20 @@ fn full_queue_answers_busy_without_deadlock() {
 
 #[test]
 fn split_batches_interleave_so_small_client_is_not_starved() {
-    // One worker and chunk-of-one splitting make the schedule easy to
-    // reason about: a big batch must not monopolize the queue, so a
-    // small batch arriving later finishes while the big one is still
-    // running. Without splitting, the small client would wait for the
-    // whole big batch head-to-tail.
+    // One worker makes the schedule easy to reason about: a 64-spec
+    // batch runs as two 32-spec jobs, and its second job is queued only
+    // once the first finishes. A small batch arriving during the first
+    // job is queued ahead of the second, so it finishes first. Without
+    // the split, the small client would wait for the whole big batch
+    // head-to-tail.
     let handle = start(ServerConfig {
         workers: Some(1),
-        batch_split: 1,
         ..ServerConfig::default()
     });
 
     let slow = |seed: u64| {
         let mut spec = ExploreSpec::new("bfdn", "comb", 60, 2, seed);
-        spec.options.delay_ms = 150;
+        spec.options.delay_ms = 10;
         spec
     };
     let run_batch = |addr: std::net::SocketAddr, specs: Vec<ExploreSpec>| {
@@ -164,7 +164,7 @@ fn split_batches_interleave_so_small_client_is_not_starved() {
             .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout");
         let (results, hits, misses) = client.batch(specs.clone()).expect("batch");
-        // Chunk aggregation preserves request order end to end.
+        // Job aggregation preserves request order end to end.
         for (spec, result) in specs.iter().zip(&results) {
             assert_eq!(&result.spec, spec);
         }
@@ -172,27 +172,97 @@ fn split_batches_interleave_so_small_client_is_not_starved() {
     };
 
     let addr = handle.addr();
-    let big = std::thread::spawn(move || run_batch(addr, (0..6).map(slow).collect()));
-    // Let the big batch get its first chunks in before the small one
-    // arrives.
-    std::thread::sleep(Duration::from_millis(220));
+    let big = std::thread::spawn(move || run_batch(addr, (0..64).map(slow).collect()));
+    // Let the big batch's first job (32 x 10 ms) start before the small
+    // one arrives.
+    std::thread::sleep(Duration::from_millis(100));
     let addr = handle.addr();
     let small = std::thread::spawn(move || run_batch(addr, (100..102).map(slow).collect()));
 
     let (big_len, _, big_misses, big_done) = big.join().expect("no panic");
     let (small_len, _, small_misses, small_done) = small.join().expect("no panic");
-    assert_eq!((big_len, big_misses), (6, 6));
+    assert_eq!((big_len, big_misses), (64, 64));
     assert_eq!((small_len, small_misses), (2, 2));
     assert!(
         small_done < big_done,
-        "the late small batch finishes first because chunks interleave"
+        "the late small batch finishes first because jobs interleave"
     );
 
     let mut client = connect(&handle);
     let status = client.status().expect("status");
     assert_eq!(status.batches, 2);
-    assert_eq!(status.explores, 8);
-    assert_eq!(status.completed, 8, "every chunk ran as its own job");
+    assert_eq!(status.explores, 66);
+    assert_eq!(status.completed, 3, "two big jobs and one small job");
+    client.shutdown().expect("bye");
+    handle.join().expect("clean drain");
+}
+
+#[test]
+fn all_hit_batch_is_answered_while_the_queue_is_full() {
+    // One worker, queue depth 1: a slow job holds the worker and a
+    // second fills the queue. New work is refused, but a batch of
+    // cached specs never needs the queue.
+    let handle = start(ServerConfig {
+        workers: Some(1),
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    let cached: Vec<ExploreSpec> = (0..3)
+        .map(|seed| ExploreSpec::new("bfdn", "comb", 80, 2, seed))
+        .collect();
+    let (cold, _, misses) = client.batch(cached.clone()).expect("cold batch");
+    assert_eq!(misses, 3);
+
+    let wait_for = |client: &mut Client, what: &str, ready: &dyn Fn(u64, u64) -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let status = client.status().expect("status");
+            if ready(status.in_flight, status.queue_depth) {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "never saw {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let send = |spec: ExploreSpec| {
+        let addr = handle.addr();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr)?;
+            client.set_read_timeout(Some(Duration::from_secs(30)))?;
+            client.explore(spec)
+        })
+    };
+    // The held job must outlast every check below; the queued one just
+    // waits behind it.
+    let mut slow = ExploreSpec::new("bfdn", "comb", 60, 2, 10);
+    slow.options.delay_ms = 2_000;
+    let holding = send(slow);
+    wait_for(&mut client, "the worker busy", &|in_flight, _| {
+        in_flight == 1
+    });
+    let queued = send(ExploreSpec::new("bfdn", "comb", 60, 2, 11));
+    wait_for(&mut client, "the queue full", &|_, depth| depth == 1);
+
+    // Control: a fresh spec is new work and bounces.
+    let busy = client
+        .explore(ExploreSpec::new("bfdn", "comb", 80, 2, 99))
+        .expect_err("the queue is full");
+    assert_eq!(
+        busy.as_server_error().map(|w| w.code),
+        Some(ErrorCode::Busy)
+    );
+    // The cached batch is answered on the connection, queue untouched.
+    let (warm, hits, misses) = client.batch(cached).expect("all-hit batch");
+    assert_eq!((hits, misses), (3, 0));
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(c.payload_json(), w.payload_json());
+    }
+
+    assert!(holding.join().expect("no panic").is_ok());
+    assert!(queued.join().expect("no panic").is_ok());
+    let status = client.status().expect("status");
+    assert_eq!(status.rejects, 1);
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
 }
@@ -367,7 +437,9 @@ fn telemetry_traces_a_known_request_sequence() {
     let access_log = dir.join("access.jsonl");
     let _ = std::fs::remove_file(&access_log);
 
+    // One worker, so the batch's two misses make exactly one job.
     let handle = start(ServerConfig {
+        workers: Some(1),
         metrics_addr: Some("127.0.0.1:0".into()),
         access_log: Some(access_log.clone()),
         ..ServerConfig::default()
@@ -400,7 +472,9 @@ fn telemetry_traces_a_known_request_sequence() {
     assert!(text.contains(r#"bfdn_request_execute_seconds_bucket{le="+Inf"} 2"#));
     // Three replies were serialized before this metrics reply.
     assert!(text.contains("bfdn_request_serialize_seconds_count 3"));
-    // Three specs actually executed, each re-checked against the paper.
+    // Each spec was looked up once: three misses, each executed and
+    // re-checked against the paper.
+    assert!(text.contains("bfdn_cache_misses_total 3"), "{text}");
     assert!(text.contains("bfdn_bound_checked_total 3"));
     assert!(text.contains("bfdn_bound_violations_total 0"));
     let theorem1 = text
@@ -411,7 +485,7 @@ fn telemetry_traces_a_known_request_sequence() {
         !theorem1.contains("Inf"),
         "three runs shrank the gauge: {theorem1}"
     );
-    // The two executed jobs ran on some workers, each adding its exact
+    // The two executed jobs ran on the worker, each adding its exact
     // execute time to its busy counter.
     let busy_ns: f64 = bfdn_obs::exposition::parse_exposition(&text)
         .samples
@@ -447,14 +521,16 @@ fn telemetry_traces_a_known_request_sequence() {
     other.read_to_string(&mut not_found).expect("read 404");
     assert!(not_found.starts_with("HTTP/1.1 404"), "{not_found}");
 
+    assert_eq!(client.cache_stats().expect("cache stats").misses, 3);
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
 
     // The access log has one JSON line per wire request, in order:
-    // explore (miss), explore (hit), batch, metrics, shutdown.
+    // explore (miss), explore (hit), batch, metrics, cache_stats,
+    // shutdown.
     let log = std::fs::read_to_string(&access_log).expect("access log written");
     let lines: Vec<&str> = log.lines().collect();
-    assert_eq!(lines.len(), 5, "{log}");
+    assert_eq!(lines.len(), 6, "{log}");
     assert!(lines[0].contains(r#""request":"explore""#));
     assert!(lines[0]
         .contains(r#""key":"v1|algo=bfdn|family=comb|n=100|k=4|seed=1|manifest=false|delay=0""#));
@@ -469,7 +545,8 @@ fn telemetry_traces_a_known_request_sequence() {
     assert!(lines[2].contains(r#""request":"batch""#));
     assert!(lines[2].contains(r#""key":"batch[3]""#));
     assert!(lines[3].contains(r#""request":"metrics""#));
-    assert!(lines[4].contains(r#""request":"shutdown""#));
+    assert!(lines[4].contains(r#""request":"cache_stats""#));
+    assert!(lines[5].contains(r#""request":"shutdown""#));
     for line in &lines {
         assert!(
             line.starts_with(r#"{"id":"#) && line.ends_with('}'),
@@ -484,7 +561,6 @@ fn telemetry_traces_a_known_request_sequence() {
 fn traced_split_batch_yields_one_root_with_one_chunk_child_per_sub_job() {
     let handle = start(ServerConfig {
         workers: Some(2),
-        batch_split: 2,
         ..ServerConfig::default()
     });
     let mut client = connect(&handle);
@@ -518,18 +594,21 @@ fn traced_split_batch_yields_one_root_with_one_chunk_child_per_sub_job() {
         root.attrs
     );
 
-    // decode and serialize bracket the request under the root.
+    // decode, the one cache lookup and serialize sit under the root.
     assert!(spans
         .iter()
         .any(|s| s.parent == root.span && s.name == "decode"));
+    let lookups: Vec<&SpanPayload> = spans.iter().filter(|s| s.name == "cache_lookup").collect();
+    assert_eq!(lookups.len(), 1, "{spans:#?}");
+    assert_eq!(lookups[0].parent, root.span);
     assert!(spans
         .iter()
         .any(|s| s.parent == root.span && s.name == "serialize"));
 
-    // 5 specs at --batch-split 2 make sub-jobs of 2+2+1: exactly one
-    // chunk child per sub-job, each with its own queue wait + execution.
+    // 5 misses on 2 workers make jobs of 3+2: exactly one chunk child
+    // per job, each with its own queue wait + execution.
     let chunks: Vec<&SpanPayload> = spans.iter().filter(|s| s.name == "chunk").collect();
-    assert_eq!(chunks.len(), 3, "{spans:#?}");
+    assert_eq!(chunks.len(), 2, "{spans:#?}");
     assert!(chunks.iter().all(|c| c.parent == root.span));
     let mut chunk_items = 0u64;
     for chunk in &chunks {
@@ -548,10 +627,9 @@ fn traced_split_batch_yields_one_root_with_one_chunk_child_per_sub_job() {
             .iter()
             .find(|s| s.name == "execute")
             .expect("each chunk executes");
-        // Each executed spec shows its cache miss, run, and insert.
+        // Each executed spec shows its run and insert.
         let exec_kids: Vec<&SpanPayload> =
             spans.iter().filter(|s| s.parent == execute.span).collect();
-        assert!(exec_kids.iter().any(|s| s.name == "cache_lookup"));
         assert!(exec_kids.iter().any(|s| s.name == "run_spec"));
         assert!(exec_kids.iter().any(|s| s.name == "cache_insert"));
     }
