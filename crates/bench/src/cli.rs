@@ -69,7 +69,7 @@ impl Default for ExploreArgs {
 
 /// The sink composition of one observed CLI run: an optional JSONL
 /// trace, live bound margins, and an optional stderr log. Held by value
-/// (not boxed in a `FanOut`) so the tracker and event counts can be read
+/// (not as boxed sinks) so the tracker and event counts can be read
 /// back for the manifest after the run.
 struct CliSink {
     jsonl: Option<JsonlSink<BufWriter<File>>>,

@@ -99,7 +99,7 @@ pub fn service_telemetry_summary(addr: &str) -> Result<String, String> {
         "bfdn_cache_hits_total",
         "bfdn_cache_misses_total",
         "bfdn_cache_entries",
-        "bfdn_store_", // the persistent-store tier: hits, bytes, compactions
+        "bfdn_store_", // the persistent-store tier: hits, records, bytes
         "bfdn_bound_checked_total",
         "bfdn_bound_violations_total",
         "bfdn_bound_margin_worst",

@@ -14,8 +14,7 @@
 //! - [`JsonlSink`] — streams one JSON object per event to any writer.
 //! - [`BoundTracker`] — computes live margins against the paper's bounds
 //!   every round and keeps the time series.
-//! - [`MemorySink`], [`FanOut`], [`StderrLog`] — test, composition and
-//!   logging helpers.
+//! - [`MemorySink`], [`StderrLog`] — test and logging helpers.
 //!
 //! Long-lived processes (the `bfdn-serve` daemon) aggregate across many
 //! runs through the [`metrics`] module: lock-free counters, gauges and
@@ -63,5 +62,5 @@ pub use event::Event;
 pub use manifest::{git_revision, RunManifest};
 pub use metrics::{register_build_info, Counter, Gauge, Histogram, Registry};
 pub use phase::Phases;
-pub use sink::{EventSink, FanOut, JsonlSink, LogLevel, MemorySink, NullSink, StderrLog};
+pub use sink::{EventSink, JsonlSink, LogLevel, MemorySink, NullSink, StderrLog};
 pub use tracing::{SpanRecord, SpanRecorder, SpanSink, TraceFormat, TraceWriter, Tracer};

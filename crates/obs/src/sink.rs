@@ -157,61 +157,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Broadcasts every event to a list of boxed sinks, for runs that want
-/// e.g. a JSONL trace *and* live bound margins *and* a stderr log.
-#[derive(Default)]
-pub struct FanOut {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl FanOut {
-    /// An empty fan-out (equivalent to [`NullSink`] until sinks are
-    /// added).
-    pub fn new() -> Self {
-        FanOut::default()
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Builder-style [`FanOut::push`].
-    #[must_use]
-    pub fn with(mut self, sink: Box<dyn EventSink>) -> Self {
-        self.push(sink);
-        self
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Returns `true` if no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for FanOut {
-    fn emit(&mut self, event: &Event) {
-        for sink in &mut self.sinks {
-            sink.emit(event);
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        !self.sinks.is_empty()
-    }
-
-    fn flush(&mut self) {
-        for sink in &mut self.sinks {
-            sink.flush();
-        }
-    }
-}
-
 /// Verbosity of [`StderrLog`], ordered from silent to chatty.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
@@ -359,16 +304,6 @@ mod tests {
         assert_eq!(s.events(), 0);
         assert!(s.io_error().is_some());
         assert!(s.finish().is_err());
-    }
-
-    #[test]
-    fn fanout_broadcasts() {
-        let mut fan = FanOut::new().with(Box::new(MemorySink::default()));
-        assert!(fan.enabled());
-        assert_eq!(fan.len(), 1);
-        fan.emit(&sample()[0]);
-        fan.flush();
-        assert!(!FanOut::new().enabled());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! bfdn-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!            [--cache-capacity N] [--cache-shards N]
-//!            [--store-dir DIR] [--store-budget-bytes N] [--compact-trigger N]
+//!            [--store-dir DIR] [--store-budget-bytes N]
 //!            [--metrics-addr HOST:PORT]
 //!            [--access-log PATH] [--access-log-max-bytes N]
 //!            [--read-timeout-ms MS] [--trace-out PATH]
@@ -13,9 +13,10 @@
 //! result store: executed results are written through, memory misses
 //! fall back to indexed disk reads, and a restart against the same
 //! directory serves byte-identical results with zero re-executions.
+//! The store is append-once: each spec's result is written the first
+//! time it runs and never rewritten, so it needs no compaction.
 //! `--store-budget-bytes` hard-caps the resident memory tier (overflow
-//! stays on disk); `--compact-trigger` sets the dead-bytes threshold of
-//! the background compactor.
+//! stays on disk).
 //!
 //! The process serves until a client sends a `shutdown` request, then
 //! drains in-flight jobs (persisting the store's index when
@@ -60,12 +61,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                     .map_err(|_| format!("bad --store-budget-bytes `{v}`"))?;
                 config.store_budget_bytes = Some(n);
             }
-            "--compact-trigger" => {
-                let v = value("--compact-trigger")?;
-                config.compact_trigger_bytes = v
-                    .parse()
-                    .map_err(|_| format!("bad --compact-trigger `{v}`"))?;
-            }
             "--metrics-addr" => config.metrics_addr = Some(value("--metrics-addr")?),
             "--access-log" => config.access_log = Some(PathBuf::from(value("--access-log")?)),
             "--read-timeout-ms" => {
@@ -85,7 +80,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<ServerConfig, String>
                 return Err(format!(
                     "unknown flag `{other}` (try --addr --workers --queue-depth \
                      --cache-capacity --cache-shards --store-dir \
-                     --store-budget-bytes --compact-trigger \
+                     --store-budget-bytes \
                      --metrics-addr --access-log --access-log-max-bytes \
                      --read-timeout-ms --trace-out)"
                 ))
@@ -127,7 +122,7 @@ mod tests {
     use super::parse;
 
     /// Every flag `bfdn-serve` accepts, each with a value `parse` takes.
-    const KEPT: [(&str, &str); 13] = [
+    const KEPT: [(&str, &str); 12] = [
         ("--addr", "127.0.0.1:0"),
         ("--workers", "2"),
         ("--queue-depth", "8"),
@@ -135,7 +130,6 @@ mod tests {
         ("--cache-shards", "2"),
         ("--store-dir", "store"),
         ("--store-budget-bytes", "4096"),
-        ("--compact-trigger", "1024"),
         ("--metrics-addr", "127.0.0.1:0"),
         ("--access-log", "access.jsonl"),
         ("--access-log-max-bytes", "4096"),
@@ -143,7 +137,7 @@ mod tests {
         ("--trace-out", "trace.json"),
     ];
 
-    const REMOVED: [&str; 9] = [
+    const REMOVED: [&str; 10] = [
         "--manifest-dir",
         "--metrics-scrapers",
         "--slow-ms",
@@ -153,6 +147,7 @@ mod tests {
         "--profile-out",
         "--peers",
         "--batch-split",
+        "--compact-trigger",
     ];
 
     fn args(list: &[&str]) -> Vec<String> {

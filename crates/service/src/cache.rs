@@ -17,8 +17,10 @@
 //! every `put` writes through to the log-structured store, and a memory
 //! miss falls back to an indexed disk read before being counted a true
 //! miss — a third lookup outcome (`store_hits`) distinct from both hit
-//! and miss. A restart against the same store therefore answers
-//! yesterday's sweep without re-simulating. With a store attached the
+//! and miss. The store is append-once: it keeps the first payload of a
+//! key and never rewrites it, which is sound because a payload is a
+//! function of its key ([`crate::exec`]). A restart against the same
+//! store therefore answers yesterday's sweep without re-simulating. With a store attached the
 //! in-memory tier can also be bounded by a hard resident-bytes budget:
 //! entries are admitted only while the shard stays under its slice of
 //! the budget (evicting LRU first), and anything not resident is still
@@ -129,20 +131,6 @@ impl ResultCache {
             .map(|s| s.lock().expect("result store").stats())
     }
 
-    /// Runs one maintenance pass on the attached store (compaction when
-    /// its dead-bytes trigger is crossed); returns the compaction
-    /// report when one ran.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O error.
-    pub fn maintain_store(&self) -> io::Result<Option<bfdn_store::CompactReport>> {
-        match &self.store {
-            Some(store) => store.lock().expect("result store").maintain(),
-            None => Ok(None),
-        }
-    }
-
     /// Persists the attached store's index for an instant next open;
     /// returns `false` without a store.
     ///
@@ -231,7 +219,7 @@ impl ResultCache {
             if let Err(err) = store
                 .lock()
                 .expect("result store")
-                .put_if_absent(&canonical, &payload)
+                .put(&canonical, &payload)
             {
                 // Disk trouble must not fail the request: the result is
                 // still served (and cached in memory) this run.
@@ -342,7 +330,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::migrate::{migrate_spill, SpillReport};
     use crate::protocol::MetricsPayload;
     use std::path::Path;
 
@@ -554,88 +541,6 @@ mod tests {
         }
         assert_eq!(second.stats().store_hits, 8);
         assert_eq!(second.stats().misses, 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrating_a_foreign_revision_spill_into_a_store_refuses_it() {
-        let dir = std::env::temp_dir().join("bfdn_service_cache_migrate_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spill = dir.join("spill.jsonl");
-        let header = |revision: &str| {
-            format!("{{\"spill\":\"bfdn-result-cache\",\"revision\":{revision}}}\n")
-        };
-        let payloads: String = (0..3)
-            .map(|seed| format!("{}\n", result_for(seed).payload_json()))
-            .collect();
-        let rev_a = format!("\"{}\"", "a".repeat(40));
-        let migrate = |fixture: String, store: &mut Store| {
-            std::fs::write(&spill, fixture).unwrap();
-            migrate_spill(store, &spill).unwrap()
-        };
-
-        // Foreign revision: the whole spill is refused, store stays empty.
-        let mut foreign = test_store(&dir.join("store-b"), &"b".repeat(40));
-        let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut foreign);
-        assert_eq!((report.loaded, report.refused), (0, 3));
-        assert!(report.revision_mismatch);
-        assert!(foreign.is_empty());
-
-        // Matching revision: everything lands, and a second import just
-        // supersedes (dead bytes for compaction, not duplicates).
-        let mut matching = test_store(&dir.join("store-a"), &"a".repeat(40));
-        for _ in 0..2 {
-            let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut matching);
-            assert_eq!(
-                report,
-                SpillReport {
-                    loaded: 3,
-                    ..SpillReport::default()
-                }
-            );
-            assert_eq!(matching.len(), 3, "three live records");
-        }
-        assert!(
-            matching.stats().dead_bytes > 0,
-            "re-import leaves dead bytes"
-        );
-
-        // The migrated store serves through a cache from disk, not from
-        // memory, byte-identically.
-        drop(matching);
-        let mut cache = ResultCache::new(CacheConfig::default());
-        cache.attach_store(test_store(&dir.join("store-a"), &"a".repeat(40)), None);
-        assert!(cache.is_empty(), "migration fills the store, not memory");
-        for seed in 0..3 {
-            let hit = cache.get(&result_for(seed).spec).expect("from store");
-            assert_eq!(hit.payload_json(), result_for(seed).payload_json());
-        }
-        assert_eq!(cache.stats().store_hits, 3);
-
-        // Unknown revision on either side is accepted: a `null` header,
-        // or a store opened without a revision.
-        let mut any = test_store(&dir.join("store-null"), &"b".repeat(40));
-        let report = migrate(format!("{}{payloads}", header("null")), &mut any);
-        assert_eq!((report.loaded, report.refused), (3, 0));
-        let (mut unstamped, _) =
-            Store::open(bfdn_store::StoreConfig::new(dir.join("store-none"))).expect("open store");
-        let report = migrate(format!("{}{payloads}", header(&rev_a)), &mut unstamped);
-        assert_eq!((report.loaded, report.refused), (3, 0));
-        assert!(!report.revision_mismatch);
-
-        // A headerless file loads.
-        let mut headerless = test_store(&dir.join("store-headerless"), &"c".repeat(40));
-        assert_eq!(migrate(payloads.clone(), &mut headerless).loaded, 3);
-
-        // A corrupt line is counted malformed; the rest still loads.
-        let mut partial = test_store(&dir.join("store-partial"), &"a".repeat(40));
-        let report = migrate(
-            format!("{}{{\"broken\":\n{payloads}", header(&rev_a)),
-            &mut partial,
-        );
-        assert_eq!((report.loaded, report.malformed), (3, 1));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,11 +16,8 @@
 //!   deterministic in their spec, so results are keyed by the canonical
 //!   request string. A sharded in-memory LRU in front, optionally
 //!   backed by the `bfdn-store` log-structured compressed store
-//!   (write-through puts, indexed disk reads on memory misses, a hard
+//!   (write-once puts, indexed disk reads on memory misses, a hard
 //!   resident-bytes budget), the daemon's only persistence.
-//! - [`migrate`] — the offline import of a legacy JSONL result spill
-//!   into a store (`bfdn-store-admin migrate`); the only module that
-//!   knows the spill format.
 //! - [`parallel`] — the deterministic work-sharing substrate (now hosted
 //!   by `bfdn-sim` so the explorers' round loops can shard on it too;
 //!   re-exported here and by the harness), used both by the local
@@ -48,7 +45,6 @@ pub mod cache;
 pub mod client;
 pub mod exec;
 pub mod jsonval;
-pub mod migrate;
 pub use bfdn_sim::parallel;
 pub mod protocol;
 pub mod server;
@@ -56,7 +52,6 @@ pub mod telemetry;
 
 pub use cache::{CacheConfig, ResultCache};
 pub use client::{Client, ClientError};
-pub use migrate::{migrate_spill, SpillReport};
 pub use protocol::{
     ErrorCode, ExploreOptions, ExploreResult, ExploreSpec, Request, Response, WireError,
     PROTOCOL_VERSION,

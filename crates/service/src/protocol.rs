@@ -442,8 +442,7 @@ impl ExploreResult {
         })
     }
 
-    /// Parses one bare payload object, as read back from the store or a
-    /// legacy spill line.
+    /// Parses one bare payload object, as read back from the store.
     pub(crate) fn from_payload_json(line: &str) -> Result<Self, WireError> {
         let v = Json::parse(line).map_err(|e| WireError::bad_request(e.to_string()))?;
         Self::from_payload_value(&v, false)

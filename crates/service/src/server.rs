@@ -16,7 +16,8 @@
 //! [`Request::Shutdown`] answers [`Response::Bye`], stops accepting new
 //! work, drains the queue and in-flight jobs, persists the result
 //! store's index when one is attached, and lets [`ServerHandle::join`]
-//! return.
+//! return. The store is append-once, so it needs no background
+//! upkeep.
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::exec;
@@ -53,19 +54,16 @@ pub struct ServerConfig {
     pub cache: CacheConfig,
     /// When set, the cache is backed by a log-structured compressed
     /// result store in this directory: every executed result is written
-    /// through, a memory miss falls back to an indexed disk read (the
-    /// `store_hit` outcome), and a restart against the same directory
-    /// serves yesterday's results byte-identically without loading them
-    /// resident.
+    /// through once (the store never rewrites a key), a memory miss
+    /// falls back to an indexed disk read (the `store_hit` outcome),
+    /// and a restart against the same directory serves yesterday's
+    /// results byte-identically without loading them resident.
     pub store_dir: Option<PathBuf>,
     /// Hard budget for payload bytes resident in the in-memory cache
     /// tier; requires `store_dir` (overflow must have somewhere to
     /// live). `None` leaves the memory tier bounded by entry count
     /// only.
     pub store_budget_bytes: Option<u64>,
-    /// Dead (superseded) bytes in the store that trigger a background
-    /// compaction pass.
-    pub compact_trigger_bytes: u64,
     /// When set, a plain-HTTP listener on this address answers
     /// `GET /metrics` with the Prometheus exposition (port 0 picks a
     /// free one), so standard scrapers work without the wire protocol.
@@ -98,7 +96,6 @@ impl Default for ServerConfig {
             cache: CacheConfig::default(),
             store_dir: None,
             store_budget_bytes: None,
-            compact_trigger_bytes: 8 * 1024 * 1024,
             metrics_addr: None,
             access_log: None,
             read_timeout_ms: 30_000,
@@ -401,7 +398,6 @@ pub struct ServerHandle {
     accept: JoinHandle<()>,
     metrics: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -434,9 +430,6 @@ impl ServerHandle {
         }
         for w in self.workers {
             w.join().map_err(|_| worker_panic())?;
-        }
-        if let Some(c) = self.compactor {
-            c.join().map_err(|_| worker_panic())?;
         }
         if self.shared.cache.has_store() {
             // The store already holds every executed result; persisting
@@ -472,7 +465,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     if let Some(dir) = &config.store_dir {
         let mut store_config = bfdn_store::StoreConfig::new(dir);
         store_config.revision = bfdn_obs::git_revision();
-        store_config.compact_trigger_bytes = config.compact_trigger_bytes.max(1);
         let (store, report) = bfdn_store::Store::open(store_config)?;
         if report.revision_mismatch {
             eprintln!(
@@ -573,11 +565,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         }));
     }
 
-    let compactor = shared.cache.has_store().then(|| {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || store_maintenance_loop(&shared))
-    });
-
     let accept_shared = Arc::clone(&shared);
     let accept = std::thread::spawn(move || accept_loop(listener, &accept_shared));
 
@@ -588,38 +575,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         accept,
         metrics,
         workers: worker_handles,
-        compactor,
     })
-}
-
-/// Poll interval of the background store-maintenance (compaction)
-/// thread. Each idle pass is one cheap dead-bytes comparison under the
-/// store lock; an actual compaction runs rarely and off the request
-/// path.
-const STORE_MAINTENANCE_INTERVAL: Duration = Duration::from_millis(250);
-
-/// The background compactor: folds the store's superseded records into
-/// fresh segments whenever its dead-bytes trigger is crossed. Runs one
-/// final pass after [`JobQueue::drained`] so a shutdown-time supersede
-/// still gets reclaimed, then exits like the accept loop.
-fn store_maintenance_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.cache.maintain_store() {
-            Ok(Some(report)) => eprintln!(
-                "bfdn-serve: store compaction reclaimed {} bytes ({} -> {} segments, {} live records)",
-                report.reclaimed_bytes,
-                report.segments_before,
-                report.segments_after,
-                report.live_records
-            ),
-            Ok(None) => {}
-            Err(e) => eprintln!("bfdn-serve: store compaction failed: {e}"),
-        }
-        if shared.queue.drained() {
-            return;
-        }
-        std::thread::sleep(STORE_MAINTENANCE_INTERVAL);
-    }
 }
 
 /// Accepted-but-unserved scrape sockets the pool will hold before the

@@ -86,10 +86,8 @@ pub struct ServiceMetrics {
     store_compression_ratio: Arc<Gauge>,
     store_records: Arc<Gauge>,
     store_live_bytes: Arc<Gauge>,
-    store_dead_bytes: Arc<Gauge>,
     store_raw_payload_bytes: Arc<Gauge>,
     store_stored_payload_bytes: Arc<Gauge>,
-    store_compactions: Arc<Counter>,
     store_truncated_segments: Arc<Counter>,
     worker_busy: Vec<Arc<Counter>>,
     bound_checked: Arc<Counter>,
@@ -234,11 +232,6 @@ impl ServiceMetrics {
                 "Bytes held by live (compressed) result-store frames.",
                 &[],
             ),
-            store_dead_bytes: registry.gauge(
-                "bfdn_store_dead_bytes",
-                "Bytes held by superseded result-store frames (compaction's reclaim target).",
-                &[],
-            ),
             store_raw_payload_bytes: registry.gauge(
                 "bfdn_store_raw_payload_bytes",
                 "Uncompressed payload bytes across the store's live records.",
@@ -248,11 +241,6 @@ impl ServiceMetrics {
                 "bfdn_store_stored_payload_bytes",
                 "Post-codec payload bytes across the store's live records \
                  (framing and keys excluded).",
-                &[],
-            ),
-            store_compactions: registry.counter(
-                "bfdn_store_compactions_total",
-                "Result-store compactions run this process lifetime.",
                 &[],
             ),
             store_truncated_segments: registry.counter(
@@ -423,19 +411,17 @@ impl ServiceMetrics {
     }
 
     /// Mirrors the result store's full counter snapshot (the fields
-    /// [`CacheStatsPayload`] does not carry: live/dead/raw bytes,
-    /// compactions, truncated tails). The server calls this right
+    /// [`CacheStatsPayload`] does not carry: live/raw/stored bytes,
+    /// truncated tails). The server calls this right
     /// before [`ServiceMetrics::render`] when a store is attached, so
     /// the render signature stays unchanged for store-less callers.
     pub fn mirror_store(&self, stats: &bfdn_store::StoreStats) {
         self.store_records.set(stats.records as f64);
         self.store_live_bytes.set(stats.live_bytes as f64);
-        self.store_dead_bytes.set(stats.dead_bytes as f64);
         self.store_raw_payload_bytes
             .set(stats.raw_payload_bytes as f64);
         self.store_stored_payload_bytes
             .set(stats.stored_payload_bytes as f64);
-        self.store_compactions.force_set(stats.compactions);
         self.store_truncated_segments
             .force_set(stats.truncated_segments);
     }
@@ -734,22 +720,18 @@ mod tests {
         let stats = bfdn_store::StoreStats {
             records: 12,
             segments: 3,
-            on_disk_bytes: 9000,
+            on_disk_bytes: 6000,
             live_bytes: 6000,
-            dead_bytes: 3000,
             raw_payload_bytes: 15000,
             stored_payload_bytes: 5000,
-            compactions: 2,
             truncated_segments: 1,
         };
         m.mirror_store(&stats);
         let text = m.render(&CacheStatsPayload::default(), 0, 0);
         assert!(text.contains("bfdn_store_records 12"));
         assert!(text.contains("bfdn_store_live_bytes 6000"));
-        assert!(text.contains("bfdn_store_dead_bytes 3000"));
         assert!(text.contains("bfdn_store_raw_payload_bytes 15000"));
         assert!(text.contains("bfdn_store_stored_payload_bytes 5000"));
-        assert!(text.contains("bfdn_store_compactions_total 2"));
         assert!(text.contains("bfdn_store_truncated_segments_total 1"));
     }
 

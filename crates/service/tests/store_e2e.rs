@@ -1,16 +1,16 @@
 //! End-to-end tests of the store-backed daemon: a restart against a
 //! populated store serves byte-identically with zero re-executions —
 //! after a graceful drain and after a SIGKILL of the real `bfdn-serve`
-//! process alike — a crash-truncated segment tail is tolerated (never
-//! fatal), a legacy spill migrated offline into the store serves from
-//! disk, and the resident-bytes budget holds under load while overflow
-//! stays retrievable.
+//! process alike — the store is append-once (re-issued work never adds
+//! a byte, and two daemons serving the same specs write identical
+//! stores), a crash-truncated segment tail is tolerated (never fatal),
+//! and the resident-bytes budget holds under load while overflow stays
+//! retrievable.
 
 use bfdn_service::client::Client;
-use bfdn_service::migrate_spill;
 use bfdn_service::protocol::ExploreSpec;
 use bfdn_service::server::{serve, ServerConfig, ServerHandle};
-use bfdn_store::{Store, StoreConfig};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -206,17 +206,12 @@ fn crash_truncated_segment_tail_is_dropped_not_fatal() {
 
     // "kill -9 mid-write": chop a few bytes off the newest segment so
     // its final frame is torn; the persisted index is now stale too.
-    let segment = std::fs::read_dir(&dir)
-        .expect("store dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("seg-"))
-        })
-        .max()
-        .expect("at least one segment");
+    let segment = dir.join(
+        segment_bytes(&dir)
+            .into_keys()
+            .max()
+            .expect("at least one segment"),
+    );
     let bytes = std::fs::read(&segment).expect("read segment");
     assert!(bytes.len() > 7);
     std::fs::write(&segment, &bytes[..bytes.len() - 7]).expect("truncate tail");
@@ -247,43 +242,87 @@ fn crash_truncated_segment_tail_is_dropped_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every segment file of the store in `dir`, by file name, with its
+/// bytes.
+fn segment_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("store dir")
+        .filter_map(Result::ok)
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|name| name.starts_with("seg-"))
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).expect("read segment");
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// Append-once end to end: once a batch is stored, re-issuing it, and
+/// restarting the daemon and re-issuing it again, leaves every segment
+/// byte as it was.
 #[test]
-fn legacy_spill_migrates_into_the_store() {
-    let dir = std::env::temp_dir().join("bfdn_store_e2e_migrate");
+fn reissued_batches_across_a_restart_leave_the_segments_unchanged() {
+    let dir = std::env::temp_dir().join("bfdn_store_e2e_append_once");
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let spill = dir.join("cache.jsonl");
-    let store = dir.join("store");
+    let specs: Vec<ExploreSpec> = (0..6).map(spec_for).collect();
 
-    // A store-less server computes the spec; its cache-stable payload
-    // is exactly one line of a headerless legacy spill.
-    let handle = start(ServerConfig::default());
+    let handle = start(store_config(&dir));
     let mut client = connect(&handle);
-    let cold = client.explore(spec_for(9)).expect("cold");
-    assert!(!cold.cached);
-    client.shutdown().expect("bye");
-    handle.join().expect("clean drain");
-    std::fs::write(&spill, format!("{}\n", cold.payload_json())).unwrap();
-
-    // The offline migration imports it into a store directory ...
-    let (mut opened, _) = Store::open(StoreConfig::new(&store)).expect("open store");
-    let report = migrate_spill(&mut opened, &spill).expect("migrate");
-    assert_eq!((report.loaded, report.refused, report.malformed), (1, 0, 0));
-    drop(opened);
-
-    // ... and a store-backed server serves the spec from disk without
-    // re-executing.
-    let handle = start(store_config(&store));
-    let mut client = connect(&handle);
-    let warm = client.explore(spec_for(9)).expect("warm");
-    assert!(warm.cached, "served from the migrated store");
-    assert_eq!(warm.payload_json(), cold.payload_json());
-    assert_eq!(client.status().expect("status").completed, 0);
-    assert!(client.cache_stats().expect("stats").store_hits >= 1);
+    let (cold, _, misses) = client.batch(specs.clone()).expect("cold batch");
+    assert_eq!(misses, 6);
+    let written = segment_bytes(&dir);
+    assert!(!written.is_empty(), "the cold batch was stored");
+    let (_, hits, misses) = client.batch(specs.clone()).expect("re-issued batch");
+    assert_eq!((hits, misses), (6, 0));
+    assert_eq!(segment_bytes(&dir), written, "a re-issued batch appended");
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
 
+    let handle = start(store_config(&dir));
+    let mut client = connect(&handle);
+    let (warm, hits, misses) = client.batch(specs).expect("batch after restart");
+    assert_eq!((hits, misses), (6, 0));
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(c.payload_json(), w.payload_json());
+    }
+    client.shutdown().expect("bye");
+    handle.join().expect("clean drain");
+    assert_eq!(
+        segment_bytes(&dir),
+        written,
+        "the restart changed a segment"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `manifest: true` payload carries no wall clock, so two daemons
+/// that run the same spec serve identical bytes and store identical
+/// records.
+#[test]
+fn manifest_payloads_and_stores_match_across_two_daemons() {
+    let dirs =
+        ["a", "b"].map(|d| std::env::temp_dir().join(format!("bfdn_store_e2e_manifest_{d}")));
+    let mut spec = ExploreSpec::new("cte", "binary", 300, 8, 3);
+    spec.options.manifest = true;
+    let mut served = Vec::new();
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+        let handle = start(store_config(dir));
+        let mut client = connect(&handle);
+        let result = client.explore(spec.clone()).expect("explore");
+        assert!(!result.cached);
+        assert!(result.manifest.is_some(), "manifest requested");
+        let on_disk = client.cache_stats().expect("stats").on_disk_bytes;
+        client.shutdown().expect("bye");
+        handle.join().expect("clean drain");
+        served.push((result.payload_json(), on_disk));
+    }
+    assert_eq!(served[0], served[1], "payloads or on-disk bytes differ");
+    assert_eq!(segment_bytes(&dirs[0]), segment_bytes(&dirs[1]));
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

@@ -11,12 +11,13 @@
 //!   compress-with-uncompressed-size-header pattern, CRC-32 checked
 //!   record frames, and a scanner that treats a crash-truncated tail
 //!   as data loss of *that tail only* — detected, dropped, never fatal.
-//! - [`Store`]: append-only segments of those frames, an in-memory
+//! - [`Store`]: append-only segments of those frames and an in-memory
 //!   index (FNV-1a key hash → segment/offset, persisted on clean
 //!   shutdown, rebuilt by segment scan when missing or stale) giving
 //!   O(1) warm lookup of any single record without loading everything
-//!   resident, and size-triggered compaction that folds superseded
-//!   records into fresh segments.
+//!   resident. The store is append-once: a key is written at most
+//!   once, so no record is ever superseded and no byte on disk is
+//!   dead.
 //! - Revision refusal: a store stamped by a different known git
 //!   revision is refused wholesale (results are byte-stable only
 //!   within one build), reported as `revision_mismatch`.
@@ -33,4 +34,4 @@
 pub mod codec;
 mod store;
 
-pub use store::{key_hash, CompactReport, OpenReport, PutOutcome, Store, StoreConfig, StoreStats};
+pub use store::{key_hash, OpenReport, Store, StoreConfig, StoreStats};

@@ -1,5 +1,5 @@
-//! The log-structured store: append-only segments, a persisted index,
-//! and size-triggered compaction.
+//! The log-structured store: append-only segments of write-once
+//! records and a persisted index.
 //!
 //! # On-disk layout
 //!
@@ -21,9 +21,12 @@
 //! shutdown and rebuilt by scanning the segments when missing or
 //! stale — a warm open never loads payloads resident.
 //!
-//! Re-putting a key appends a superseding frame and marks the old one
-//! dead; [`Store::maintain`] folds live records into fresh segments
-//! once dead bytes cross the configured trigger, reclaiming the space.
+//! A key is written at most once: [`Store::put`] on a key that already
+//! has a live record appends nothing. Payloads are a function of their
+//! key (see the service's `exec` module), so the first write is the
+//! only one, nothing is ever superseded, and every byte on disk belongs
+//! to a live record or to a dropped crash tail — there is nothing to
+//! compact.
 //!
 //! # Revision refusal
 //!
@@ -33,6 +36,7 @@
 //! unknown revisions on either side are accepted.
 
 use crate::codec::{self, Record};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -58,18 +62,15 @@ pub struct StoreConfig {
     pub revision: Option<String>,
     /// Roll the active segment once it would exceed this many bytes.
     pub segment_roll_bytes: u64,
-    /// [`Store::maintain`] compacts once dead bytes reach this many.
-    pub compact_trigger_bytes: u64,
 }
 
 impl StoreConfig {
-    /// Defaults: 4 MiB segment roll, 8 MiB compaction trigger.
+    /// Defaults: 4 MiB segment roll.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             dir: dir.into(),
             revision: None,
             segment_roll_bytes: 4 << 20,
-            compact_trigger_bytes: 8 << 20,
         }
     }
 }
@@ -77,7 +78,7 @@ impl StoreConfig {
 /// What [`Store::open`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenReport {
-    /// Live records indexed (after tail-drop and supersede folding).
+    /// Live records indexed (after tail-drop).
     pub records: usize,
     /// Records refused because the store was written by another revision.
     pub refused: usize,
@@ -90,28 +91,6 @@ pub struct OpenReport {
     pub index_rebuilt: bool,
 }
 
-/// What one [`Store::put`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PutOutcome {
-    /// Bytes appended to the active segment.
-    pub appended_bytes: u64,
-    /// True when the key already had a record (now dead, compactable).
-    pub superseded: bool,
-}
-
-/// What one [`Store::compact`] reclaimed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Segment count before folding.
-    pub segments_before: usize,
-    /// Segment count after folding.
-    pub segments_after: usize,
-    /// On-disk bytes reclaimed (dead frames dropped).
-    pub reclaimed_bytes: u64,
-    /// Live records carried into the fresh segments.
-    pub live_records: usize,
-}
-
 /// A point-in-time accounting snapshot, cheap to take.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -119,19 +98,17 @@ pub struct StoreStats {
     pub records: u64,
     /// Segment files.
     pub segments: u64,
-    /// Logical bytes across all segments (live + dead frames).
+    /// Logical bytes across all segments (intact frames only; a
+    /// dropped crash tail is not counted).
     pub on_disk_bytes: u64,
-    /// Bytes held by live frames.
+    /// Bytes held by live frames — equal to `on_disk_bytes` in a store
+    /// this crate wrote, since no record is ever superseded.
     pub live_bytes: u64,
-    /// Bytes held by superseded frames — compaction's reclaim target.
-    pub dead_bytes: u64,
     /// Uncompressed payload bytes across live records.
     pub raw_payload_bytes: u64,
     /// Stored (post-codec) payload bytes across live records — the
     /// frame data portions only, framing and key bytes excluded.
     pub stored_payload_bytes: u64,
-    /// Compactions run over this store's process lifetime.
-    pub compactions: u64,
     /// Crash-truncated tails dropped over this process lifetime.
     pub truncated_segments: u64,
 }
@@ -178,9 +155,8 @@ pub struct Store {
     dir: PathBuf,
     revision: Option<String>,
     segment_roll_bytes: u64,
-    compact_trigger_bytes: u64,
-    /// key-hash → newest frame. Hash collisions follow last-write-wins
-    /// (the older key becomes unreachable and compacts away); lookups
+    /// key-hash → the key's one frame. Under a hash collision the first
+    /// key keeps the slot and the second is never stored; lookups
     /// verify the stored key, so a collision reads as a miss, never as
     /// the wrong payload.
     index: HashMap<u64, IndexEntry>,
@@ -191,7 +167,6 @@ pub struct Store {
     live_bytes: u64,
     raw_payload_bytes: u64,
     stored_payload_bytes: u64,
-    compactions: u64,
     truncated_segments: u64,
 }
 
@@ -268,7 +243,6 @@ impl Store {
             dir: config.dir.clone(),
             revision: config.revision.clone(),
             segment_roll_bytes: config.segment_roll_bytes.max(1),
-            compact_trigger_bytes: config.compact_trigger_bytes.max(1),
             index: HashMap::new(),
             segments: BTreeMap::new(),
             next_segment_id: 0,
@@ -276,7 +250,6 @@ impl Store {
             live_bytes: 0,
             raw_payload_bytes: 0,
             stored_payload_bytes: 0,
-            compactions: 0,
             truncated_segments: 0,
         };
 
@@ -331,17 +304,6 @@ impl Store {
         self.index.is_empty()
     }
 
-    /// True when `key` (almost certainly) has a live record. Hash-based:
-    /// a 64-bit collision can make this a false positive.
-    pub fn contains(&self, key: &str) -> bool {
-        self.index.contains_key(&key_hash(key))
-    }
-
-    /// Bytes a compaction would currently reclaim.
-    pub fn dead_bytes(&self) -> u64 {
-        self.on_disk_bytes() - self.live_bytes
-    }
-
     /// Logical bytes across every segment.
     pub fn on_disk_bytes(&self) -> u64 {
         self.segments.values().sum()
@@ -354,24 +316,26 @@ impl Store {
             segments: self.segments.len() as u64,
             on_disk_bytes: self.on_disk_bytes(),
             live_bytes: self.live_bytes,
-            dead_bytes: self.dead_bytes(),
             raw_payload_bytes: self.raw_payload_bytes,
             stored_payload_bytes: self.stored_payload_bytes,
-            compactions: self.compactions,
             truncated_segments: self.truncated_segments,
         }
     }
 
-    /// Appends a record. A key that already has a record is superseded:
-    /// the new frame wins, the old one becomes dead bytes for
-    /// [`Store::maintain`] to reclaim.
+    /// Appends a record unless `key` already has a live one, and
+    /// returns whether it wrote. The first payload stored under a key
+    /// is the one every later [`Store::get`] returns.
     ///
     /// # Errors
     ///
     /// Propagates segment create/append failures; on error the index is
     /// left unchanged (the partial frame, if any, is dropped as a
     /// truncated tail on the next open).
-    pub fn put(&mut self, key: &str, payload: &str) -> io::Result<PutOutcome> {
+    pub fn put(&mut self, key: &str, payload: &str) -> io::Result<bool> {
+        let hash = key_hash(key);
+        if self.index.contains_key(&hash) {
+            return Ok(false);
+        }
         let frame = codec::encode_record(key, payload);
         let frame_len = frame.len() as u64;
 
@@ -410,35 +374,19 @@ impl Store {
             raw_len: payload.len() as u32,
             key_len: key.len() as u32,
         };
-        let old = self.index.insert(key_hash(key), entry);
-        if let Some(old) = old {
-            self.live_bytes -= u64::from(old.frame_len);
-            self.raw_payload_bytes -= u64::from(old.raw_len);
-            self.stored_payload_bytes -= old.stored_len();
-        }
-        self.live_bytes += frame_len;
-        self.raw_payload_bytes += u64::from(entry.raw_len);
-        self.stored_payload_bytes += entry.stored_len();
-        Ok(PutOutcome {
-            appended_bytes: frame_len,
-            superseded: old.is_some(),
-        })
+        self.index_entry(hash, entry);
+        Ok(true)
     }
 
-    /// Appends only when `key` has no live record; returns whether a
-    /// frame was written. This is the service cache's write-through
-    /// path — payloads are deterministic in their key, so re-writing an
-    /// indexed key would only manufacture dead bytes.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::put`].
-    pub fn put_if_absent(&mut self, key: &str, payload: &str) -> io::Result<bool> {
-        if self.contains(key) {
-            return Ok(false);
+    /// Indexes `entry` under `hash` unless the hash already has a frame
+    /// (the first write wins) and adds it to the live accounting.
+    fn index_entry(&mut self, hash: u64, entry: IndexEntry) {
+        if let Entry::Vacant(slot) = self.index.entry(hash) {
+            slot.insert(entry);
+            self.live_bytes += u64::from(entry.frame_len);
+            self.raw_payload_bytes += u64::from(entry.raw_len);
+            self.stored_payload_bytes += entry.stored_len();
         }
-        self.put(key, payload)?;
-        Ok(true)
     }
 
     /// Reads one record's payload from disk (an indexed seek-and-read
@@ -478,103 +426,6 @@ impl Store {
             Ok(Some((record, _))) => Ok(Some(record)),
             _ => Ok(None),
         }
-    }
-
-    /// Compacts when dead bytes have reached the configured trigger;
-    /// the periodic maintenance entry point (the daemon calls it from a
-    /// background thread).
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::compact`].
-    pub fn maintain(&mut self) -> io::Result<Option<CompactReport>> {
-        if self.dead_bytes() >= self.compact_trigger_bytes && self.dead_bytes() > 0 {
-            return self.compact().map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Folds every live record into fresh segments and deletes the old
-    /// files, reclaiming all dead bytes. Frames are copied verbatim
-    /// (no re-encode), in deterministic (segment, offset) order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; on error the old segments are still on
-    /// disk and the index still points at them.
-    pub fn compact(&mut self) -> io::Result<CompactReport> {
-        let segments_before = self.segments.len();
-        let reclaimable = self.dead_bytes();
-        let old_ids: Vec<u64> = self.segments.keys().copied().collect();
-        self.active = None; // never append to a segment being folded
-
-        let mut order: Vec<(u64, IndexEntry)> = self
-            .index
-            .iter()
-            .map(|(&hash, &entry)| (hash, entry))
-            .collect();
-        order.sort_by_key(|(_, e)| (e.segment, e.offset));
-
-        // Copy live frames verbatim into fresh segments.
-        let mut new_segments: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut new_entries: Vec<(u64, IndexEntry)> = Vec::with_capacity(order.len());
-        let mut current: Option<(u64, File)> = None;
-        for (hash, entry) in order {
-            let path = segment_path(&self.dir, entry.segment);
-            let mut src = File::open(&path)?;
-            src.seek(SeekFrom::Start(entry.offset))?;
-            let mut frame = vec![0u8; entry.frame_len as usize];
-            src.read_exact(&mut frame)?;
-
-            let roll = match &current {
-                None => true,
-                Some((id, _)) => {
-                    let len = new_segments.get(id).copied().unwrap_or(0);
-                    len > 0 && len + frame.len() as u64 > self.segment_roll_bytes
-                }
-            };
-            if roll {
-                let id = self.next_segment_id;
-                self.next_segment_id += 1;
-                let file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(segment_path(&self.dir, id))?;
-                new_segments.insert(id, 0);
-                current = Some((id, file));
-            }
-            let (id, file) = current.as_mut().expect("compaction segment");
-            file.write_all(&frame)?;
-            let id = *id;
-            let len = new_segments.get_mut(&id).expect("compaction length");
-            let offset = *len;
-            *len += frame.len() as u64;
-            new_entries.push((
-                hash,
-                IndexEntry {
-                    segment: id,
-                    offset,
-                    ..entry
-                },
-            ));
-        }
-        if let Some((_, file)) = &mut current {
-            file.flush()?;
-        }
-
-        // Swap: new index first, then drop the old files.
-        self.index = new_entries.into_iter().collect();
-        self.segments = new_segments;
-        for id in old_ids {
-            let _ = fs::remove_file(segment_path(&self.dir, id));
-        }
-        self.compactions += 1;
-        Ok(CompactReport {
-            segments_before,
-            segments_after: self.segments.len(),
-            reclaimed_bytes: reclaimable,
-            live_records: self.index.len(),
-        })
     }
 
     /// Persists the index so the next open is a warm one (no segment
@@ -688,10 +539,7 @@ impl Store {
 
         self.segments = covered;
         for (hash, entry) in entries {
-            self.index.insert(hash, entry);
-            self.live_bytes += u64::from(entry.frame_len);
-            self.raw_payload_bytes += u64::from(entry.raw_len);
-            self.stored_payload_bytes += entry.stored_len();
+            self.index_entry(hash, entry);
         }
         // Pick up frames appended after the index was persisted, and
         // whole segments it never saw.
@@ -727,14 +575,7 @@ impl Store {
                         raw_len: record.raw_len,
                         key_len: record.key.len() as u32,
                     };
-                    if let Some(old) = self.index.insert(key_hash(&record.key), entry) {
-                        self.live_bytes -= u64::from(old.frame_len);
-                        self.raw_payload_bytes -= u64::from(old.raw_len);
-                        self.stored_payload_bytes -= old.stored_len();
-                    }
-                    self.live_bytes += u64::from(entry.frame_len);
-                    self.raw_payload_bytes += u64::from(entry.raw_len);
-                    self.stored_payload_bytes += entry.stored_len();
+                    self.index_entry(key_hash(&record.key), entry);
                     at += frame_len;
                     len = at as u64;
                 }
@@ -955,44 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn superseded_records_become_dead_bytes_and_compact_away() {
-        let dir = fresh_dir("compact");
-        let mut cfg = config(&dir);
-        cfg.compact_trigger_bytes = 1; // any dead byte triggers maintain
-        let (mut store, _) = Store::open(cfg).unwrap();
-        for i in 0..8 {
-            store.put(&format!("key-{i}"), &payload(i)).unwrap();
-        }
-        assert_eq!(store.dead_bytes(), 0);
-        assert!(store.maintain().unwrap().is_none(), "nothing dead yet");
-
-        let outcome = store.put("key-3", &payload(100)).unwrap();
-        assert!(outcome.superseded);
-        assert!(store.dead_bytes() > 0);
-        let before = store.on_disk_bytes();
-
-        let report = store.maintain().unwrap().expect("trigger crossed");
-        assert_eq!(report.live_records, 8);
-        assert!(report.reclaimed_bytes > 0);
-        assert_eq!(store.dead_bytes(), 0);
-        assert!(store.on_disk_bytes() < before);
-        assert_eq!(store.stats().compactions, 1);
-
-        // Every record still reads back, including the superseder.
-        assert_eq!(store.get("key-3").unwrap(), Some(payload(100)));
-        for i in [0usize, 1, 2, 4, 5, 6, 7] {
-            assert_eq!(store.get(&format!("key-{i}")).unwrap(), Some(payload(i)));
-        }
-
-        // And the compacted layout reopens cleanly without an index.
-        store.persist_index().unwrap();
-        drop(store);
-        let (store, report) = Store::open(config(&dir)).unwrap();
-        assert_eq!(report.records, 8);
-        assert_eq!(store.get("key-3").unwrap(), Some(payload(100)));
-    }
-
-    #[test]
     fn segments_roll_at_the_configured_size() {
         let dir = fresh_dir("roll");
         let mut cfg = config(&dir);
@@ -1010,12 +813,24 @@ mod tests {
     }
 
     #[test]
-    fn put_if_absent_skips_indexed_keys() {
-        let dir = fresh_dir("if-absent");
+    fn put_appends_nothing_for_a_live_key() {
+        let dir = fresh_dir("write-once");
         let (mut store, _) = Store::open(config(&dir)).unwrap();
-        assert!(store.put_if_absent("key", &payload(0)).unwrap());
-        assert!(!store.put_if_absent("key", &payload(0)).unwrap());
-        assert_eq!(store.dead_bytes(), 0, "no superseding write happened");
+        assert!(store.put("key", &payload(0)).unwrap());
+        let bytes = store.on_disk_bytes();
+        let file_len = || fs::metadata(segment_path(&dir, 0)).unwrap().len();
+        assert_eq!(file_len(), bytes);
+        for other in [0, 1] {
+            assert!(!store.put("key", &payload(other)).unwrap());
+        }
+        assert_eq!(store.on_disk_bytes(), bytes, "no frame was appended");
+        assert_eq!(file_len(), bytes, "the segment file did not grow");
+        assert_eq!(store.stats().live_bytes, bytes);
+        assert_eq!(
+            store.get("key").unwrap(),
+            Some(payload(0)),
+            "first write wins"
+        );
     }
 
     #[test]

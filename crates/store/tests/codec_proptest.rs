@@ -1,7 +1,7 @@
 //! Property tests for the store's codec and for the store itself:
 //! compression round-trips on arbitrary bytes, frames round-trip on
 //! arbitrary records, corrupt input never panics, and a store built
-//! from random operations always reads back what was last written.
+//! from random puts keeps only the first write per key.
 
 use bfdn_store::codec::{compress, decompress, encode_record, scan_frame};
 use bfdn_store::{Store, StoreConfig};
@@ -69,7 +69,7 @@ proptest! {
     }
 
     #[test]
-    fn store_reads_back_the_last_write_per_key(
+    fn store_reads_back_the_first_write_per_key(
         ops in prop::collection::vec((0u8..12, prop::collection::vec(97u8..123, 0..64)), 1..60),
         case_tag in any::<u64>(),
     ) {
@@ -87,20 +87,28 @@ proptest! {
         for (key_id, payload_bytes) in &ops {
             let key = format!("key-{key_id}");
             let payload: String = payload_bytes.iter().map(|&b| char::from(b)).collect();
-            store.put(&key, &payload).expect("put");
-            model.insert(key, payload);
+            let before = store.on_disk_bytes();
+            let wrote = store.put(&key, &payload).expect("put");
+            prop_assert_eq!(wrote, !model.contains_key(&key));
+            if !wrote {
+                prop_assert_eq!(store.on_disk_bytes(), before, "a repeated key appended bytes");
+            }
+            model.entry(key).or_insert(payload);
+            let stats = store.stats();
+            prop_assert_eq!(stats.on_disk_bytes, stats.live_bytes);
         }
         for (key, payload) in &model {
             let read = store.get(key).expect("get");
             prop_assert_eq!(read.as_deref(), Some(payload.as_str()));
         }
 
-        // Compaction and a cold reopen both preserve the model.
-        store.compact().expect("compact");
-        store.persist_index().expect("persist");
+        // A cold reopen (no persisted index) rebuilds the same store.
+        let stats = store.stats();
         drop(store);
         let (reopened, report) = Store::open(config).expect("reopen");
+        prop_assert!(report.index_rebuilt);
         prop_assert_eq!(report.records, model.len());
+        prop_assert_eq!(reopened.stats(), stats);
         for (key, payload) in &model {
             let read = reopened.get(key).expect("get");
             prop_assert_eq!(read.as_deref(), Some(payload.as_str()));
