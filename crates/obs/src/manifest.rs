@@ -4,6 +4,7 @@ use crate::json::{u64_array, JsonObject};
 use crate::Phases;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Everything needed to attribute, reproduce and audit one run:
 /// algorithm, workload, seed, instance parameters, git revision,
@@ -43,7 +44,8 @@ pub struct RunManifest {
     pub max_degree: u64,
     /// Number of robots / urns (`k`).
     pub k: u64,
-    /// The git revision the binary was run from, when discoverable.
+    /// The git revision of the work tree the binary lives in, when
+    /// discoverable ([`git_revision`]).
     pub git_revision: Option<String>,
     /// Per-phase wall-clock in nanoseconds, in completion order.
     pub phases: Vec<(String, u64)>,
@@ -163,22 +165,25 @@ fn pairs_f64(pairs: &[(String, f64)]) -> String {
     o.finish()
 }
 
-/// Best-effort lookup of the current git revision: walks up from the
-/// current directory to the first `.git` and resolves `HEAD` (through
-/// one level of ref indirection and `packed-refs`). Returns `None`
-/// outside a work tree — manifests must not fail because telemetry is
-/// incomplete.
+/// Best-effort lookup of the git revision the running binary belongs
+/// to: walks up from the executable's directory to the first `.git` and
+/// resolves `HEAD` (through one level of ref indirection and
+/// `packed-refs`). The answer depends on where the binary lives, not on
+/// the working directory it was started from, and is resolved once per
+/// process. Returns `None` for a binary outside a work tree — manifests
+/// must not fail because telemetry is incomplete.
 pub fn git_revision() -> Option<String> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let git = dir.join(".git");
-        if git.is_dir() {
-            return resolve_head(&git);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
+    static REVISION: OnceLock<Option<String>> = OnceLock::new();
+    REVISION
+        .get_or_init(|| {
+            let exe = std::env::current_exe().ok()?;
+            exe.ancestors()
+                .skip(1)
+                .map(|dir| dir.join(".git"))
+                .find(|git| git.is_dir())
+                .and_then(|git| resolve_head(&git))
+        })
+        .clone()
 }
 
 fn resolve_head(git: &Path) -> Option<String> {

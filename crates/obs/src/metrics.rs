@@ -391,9 +391,9 @@ impl Registry {
 
 /// Registers the `bfdn_build_info{revision,version}` identity gauge
 /// (value `1`) in `registry` — every serving binary calls this so a
-/// scrape names the revision that answered it. The revision is the
-/// repository's current git HEAD ([`crate::git_revision`]), `unknown`
-/// when the process runs outside a checkout; pass the binary's
+/// scrape names the revision that answered it. The revision is the git
+/// HEAD of the work tree the binary lives in ([`crate::git_revision`]),
+/// `unknown` for a binary outside a checkout; pass the binary's
 /// `env!("CARGO_PKG_VERSION")` as `version`. Returns the revision label
 /// actually used.
 pub fn register_build_info(registry: &Registry, version: &str) -> String {

@@ -19,8 +19,9 @@
 //! stays on disk).
 //!
 //! The process serves until a client sends a `shutdown` request, then
-//! drains in-flight jobs (persisting the store's index when
-//! `--store-dir` is set) and exits. Hand-rolled flag parsing — the
+//! drains in-flight jobs and exits; the store has nothing to flush,
+//! since every result was written before its reply and the next start
+//! opens the store by scanning its segments. Hand-rolled flag parsing — the
 //! workspace deliberately carries no CLI dependency.
 
 use bfdn_service::server::{serve, ServerConfig};

@@ -15,7 +15,8 @@
 //! The cache can additionally be backed by a [`bfdn_store::Store`]
 //! ([`ResultCache::attach_store`]) — the daemon's only persistence:
 //! every `put` writes through to the log-structured store, and a memory
-//! miss falls back to an indexed disk read before being counted a true
+//! miss falls back to a disk read, located by the index the store built
+//! by scanning its segments when it opened, before being counted a true
 //! miss — a third lookup outcome (`store_hits`) distinct from both hit
 //! and miss. The store is append-once: it keeps the first payload of a
 //! key and never rewrites it, which is sound because a payload is a
@@ -29,7 +30,6 @@
 use crate::protocol::{fnv1a, CacheStatsPayload, ExploreResult, ExploreSpec};
 use bfdn_store::Store;
 use std::collections::HashMap;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -119,32 +119,11 @@ impl ResultCache {
         self.store = Some(Mutex::new(store));
     }
 
-    /// `true` when a store is attached.
-    pub fn has_store(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// A snapshot of the attached store's counters, `None` without one.
     pub fn store_stats(&self) -> Option<bfdn_store::StoreStats> {
         self.store
             .as_ref()
             .map(|s| s.lock().expect("result store").stats())
-    }
-
-    /// Persists the attached store's index for an instant next open;
-    /// returns `false` without a store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's I/O error.
-    pub fn persist_store_index(&self) -> io::Result<bool> {
-        match &self.store {
-            Some(store) => {
-                store.lock().expect("result store").persist_index()?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     fn shard_for(&self, canonical: &str) -> &Mutex<Shard> {
@@ -174,11 +153,11 @@ impl ResultCache {
                 return Some(result);
             }
         }
-        if let Some(result) = self.store_lookup(&canonical) {
+        if let Some((result, bytes)) = self.store_lookup(&canonical) {
             self.store_hits.fetch_add(1, Ordering::Relaxed);
             // Re-admit: the store just proved this key is hot again.
             // No write-through — it is already on disk.
-            self.admit(result.clone(), tick);
+            self.admit(canonical, result.clone(), bytes, tick);
             let mut result = result;
             result.cached = true;
             return Some(result);
@@ -187,10 +166,10 @@ impl ResultCache {
         None
     }
 
-    /// Reads `canonical` from the attached store, if any. A corrupt or
-    /// unparsable record is treated as absent — the caller re-executes,
-    /// which is always safe.
-    fn store_lookup(&self, canonical: &str) -> Option<ExploreResult> {
+    /// Reads `canonical` from the attached store, if any, with the
+    /// stored payload's length. A corrupt or unparsable record is
+    /// treated as absent — the caller re-executes, which is always safe.
+    fn store_lookup(&self, canonical: &str) -> Option<(ExploreResult, u64)> {
         let store = self.store.as_ref()?;
         let payload = store
             .lock()
@@ -198,7 +177,8 @@ impl ResultCache {
             .get(canonical)
             .ok()
             .flatten()?;
-        ExploreResult::from_payload_json(&payload).ok()
+        let result = ExploreResult::from_payload_json(&payload).ok()?;
+        Some((result, payload.len() as u64))
     }
 
     /// Stores a completed result under its spec's canonical key,
@@ -213,9 +193,9 @@ impl ResultCache {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut stored = result.clone();
         stored.cached = false;
+        let canonical = stored.spec.canonical();
+        let payload = stored.payload_json();
         if let Some(store) = &self.store {
-            let canonical = stored.spec.canonical();
-            let payload = stored.payload_json();
             if let Err(err) = store
                 .lock()
                 .expect("result store")
@@ -226,16 +206,15 @@ impl ResultCache {
                 eprintln!("bfdn-serve: result store write failed for {canonical}: {err}");
             }
         }
-        self.admit(stored, tick);
+        self.admit(canonical, stored, payload.len() as u64, tick);
     }
 
-    /// Inserts `stored` into its in-memory shard, enforcing both the
-    /// per-shard entry capacity and (when set) the per-shard byte
-    /// budget by LRU eviction. A payload larger than the whole shard
-    /// budget is not admitted at all.
-    fn admit(&self, stored: ExploreResult, tick: u64) {
-        let canonical = stored.spec.canonical();
-        let bytes = stored.payload_json().len() as u64;
+    /// Inserts `stored` into its in-memory shard under `canonical`,
+    /// accounting `bytes` (its payload's length) against the resident
+    /// gauge, and enforcing both the per-shard entry capacity and (when
+    /// set) the per-shard byte budget by LRU eviction. A payload larger
+    /// than the whole shard budget is not admitted at all.
+    fn admit(&self, canonical: String, stored: ExploreResult, bytes: u64, tick: u64) {
         if self.per_shard_budget.is_some_and(|budget| bytes > budget) {
             return;
         }
@@ -467,7 +446,13 @@ mod tests {
         assert!(stats.segments >= 1);
         assert!(stats.on_disk_bytes > 0);
 
-        // The record was re-admitted, so the next get is a memory hit.
+        // The record was re-admitted (evicting the other), sized by the
+        // payload the store returned.
+        assert_eq!(
+            cache.stats().resident_bytes,
+            result_for(1).payload_json().len() as u64
+        );
+        // So the next get is a memory hit.
         assert!(cache.get(&result_for(1).spec).is_some());
         assert_eq!(cache.stats().hits, 1);
 
@@ -525,7 +510,6 @@ mod tests {
             first.put(&result_for(seed));
             expected.push(result_for(seed).payload_json());
         }
-        assert!(first.persist_store_index().unwrap());
         drop(first);
 
         // "Restart": a brand-new empty cache over the same directory.

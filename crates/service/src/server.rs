@@ -14,10 +14,11 @@
 //! in the cache before its reply is sent.
 //!
 //! [`Request::Shutdown`] answers [`Response::Bye`], stops accepting new
-//! work, drains the queue and in-flight jobs, persists the result
-//! store's index when one is attached, and lets [`ServerHandle::join`]
-//! return. The store is append-once, so it needs no background
-//! upkeep.
+//! work, drains the queue and in-flight jobs, and lets
+//! [`ServerHandle::join`] return. Every executed result was written to
+//! the store before its reply, and the store is append-once and opens
+//! by scanning its segments, so shutdown has nothing to flush and a
+//! SIGKILL loses nothing but a torn tail.
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::exec;
@@ -418,7 +419,7 @@ impl ServerHandle {
     }
 
     /// Waits for the accept loop and workers to finish draining, then
-    /// persists the result store's index when one is attached.
+    /// closes the trace export.
     ///
     /// Only returns once a shutdown was requested (by frame or by
     /// [`ServerHandle::shutdown`]); every in-flight job completes and
@@ -430,13 +431,6 @@ impl ServerHandle {
         }
         for w in self.workers {
             w.join().map_err(|_| worker_panic())?;
-        }
-        if self.shared.cache.has_store() {
-            // The store already holds every executed result; persisting
-            // its index makes the next open instant instead of a
-            // segment scan.
-            self.shared.cache.persist_store_index()?;
-            eprintln!("bfdn-serve: persisted result-store index");
         }
         if let Err(e) = self.shared.tracer.close() {
             eprintln!("bfdn-serve: trace export failed: {e}");
@@ -474,14 +468,9 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
             );
         } else if report.records > 0 {
             eprintln!(
-                "bfdn-serve: result store {} opened with {} records{}",
+                "bfdn-serve: result store {} opened with {} records",
                 dir.display(),
-                report.records,
-                if report.index_rebuilt {
-                    " (index rebuilt by segment scan)"
-                } else {
-                    ""
-                }
+                report.records
             );
         }
         if report.truncated_segments > 0 {

@@ -48,7 +48,8 @@ fn restart_from_store_is_byte_identical_with_zero_reexecutions() {
     let dir = std::env::temp_dir().join("bfdn_store_e2e_restart");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Cold server: execute a sweep, let the shutdown persist the index.
+    // Cold server: execute a sweep; every result is stored before its
+    // reply.
     let handle = start(store_config(&dir));
     let mut client = connect(&handle);
     let specs: Vec<ExploreSpec> = (0..6).map(spec_for).collect();
@@ -57,7 +58,6 @@ fn restart_from_store_is_byte_identical_with_zero_reexecutions() {
     client.shutdown().expect("bye");
     handle.join().expect("clean drain");
     assert!(dir.join("meta.json").exists(), "store directory populated");
-    assert!(dir.join("index.tsv").exists(), "index persisted on drain");
 
     // Restarted server: same store, empty memory. Every spec must come
     // back byte-identical without a single execution.
@@ -109,12 +109,14 @@ struct ServeProcess {
 }
 
 impl ServeProcess {
-    /// Spawns the binary on `dir` and reads its wire address from the
-    /// `listening on` line it prints once it accepts connections.
-    fn spawn(dir: &Path) -> Self {
+    /// Spawns the binary on `dir`, started in `cwd`, and reads its wire
+    /// address from the `listening on` line it prints once it accepts
+    /// connections.
+    fn spawn(dir: &Path, cwd: &Path) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_bfdn-serve"))
             .args(["--addr", "127.0.0.1:0", "--store-dir"])
             .arg(dir)
+            .current_dir(cwd)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -152,7 +154,7 @@ impl Drop for ServeProcess {
 }
 
 /// The break-down drill: the daemon process is SIGKILLed right after
-/// serving a cold batch — no drain, no index persisted — and a restart
+/// serving a cold batch — no drain — and a restart
 /// on the same store directory must still answer the whole batch from
 /// disk, byte-identically, without executing anything.
 #[test]
@@ -161,7 +163,7 @@ fn sigkilled_daemon_restarts_on_its_store_with_zero_reexecutions() {
     let _ = std::fs::remove_dir_all(&dir);
     let specs: Vec<ExploreSpec> = (0..6).map(spec_for).collect();
 
-    let mut daemon = ServeProcess::spawn(&dir);
+    let mut daemon = ServeProcess::spawn(&dir, package_dir());
     let (cold, hits, misses) = daemon.connect().batch(specs.clone()).expect("cold batch");
     assert_eq!((hits, misses), (0, 6));
     daemon.child.kill().expect("SIGKILL");
@@ -169,7 +171,7 @@ fn sigkilled_daemon_restarts_on_its_store_with_zero_reexecutions() {
     assert!(!status.success(), "killed, not drained: {status}");
     drop(daemon);
 
-    let mut daemon = ServeProcess::spawn(&dir);
+    let mut daemon = ServeProcess::spawn(&dir, package_dir());
     let mut client = daemon.connect();
     let (warm, hits, misses) = client.batch(specs).expect("warm batch");
     assert_eq!((hits, misses), (6, 0), "every item served from the store");
@@ -186,6 +188,66 @@ fn sigkilled_daemon_restarts_on_its_store_with_zero_reexecutions() {
     assert!(daemon.child.wait().expect("reap").success(), "clean drain");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn package_dir() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// A daemon names the revision of the tree its binary was built in,
+/// wherever it is started from: started outside the repository and at
+/// its root, it serves identical `manifest: true` payloads and stamps
+/// its store identically.
+#[test]
+fn revision_comes_from_the_binary_not_the_working_directory() {
+    let repo_root = package_dir()
+        .join("../..")
+        .canonicalize()
+        .expect("repo root");
+    let mut spec = ExploreSpec::new("bfdn", "comb", 200, 4, 11);
+    spec.options.manifest = true;
+    let mut served = Vec::new();
+    for (name, cwd) in [
+        ("outside", std::env::temp_dir()),
+        ("root", repo_root.clone()),
+    ] {
+        let dir = std::env::temp_dir().join(format!("bfdn_store_e2e_revision_{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut daemon = ServeProcess::spawn(&dir, &cwd);
+        let mut client = daemon.connect();
+        let result = client.explore(spec.clone()).expect("explore");
+        client.shutdown().expect("bye");
+        assert!(daemon.child.wait().expect("reap").success(), "clean drain");
+        let meta = std::fs::read_to_string(dir.join("meta.json")).expect("meta.json");
+        served.push((result.payload_json(), result.manifest, meta));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(
+        served[0], served[1],
+        "the working directory changed the answer"
+    );
+
+    // The daemon and this test live in the same target directory, so
+    // they resolve the same revision; inside a checkout it is known.
+    let revision = bfdn_obs::git_revision();
+    let in_checkout = repo_root.join(".git").is_dir()
+        && std::env::current_exe()
+            .expect("test binary")
+            .starts_with(&repo_root);
+    if in_checkout {
+        assert!(
+            revision.is_some(),
+            "a binary in a checkout names its revision"
+        );
+    }
+    let quoted = revision.map_or("null".to_string(), |r| format!("\"{r}\""));
+    let (_, manifest, meta) = &served[0];
+    let manifest = manifest.as_deref().expect("manifest requested");
+    assert!(
+        manifest.contains(&format!("\"git_revision\":{quoted}")),
+        "{manifest}"
+    );
+    assert!(meta.contains(&format!("\"revision\":{quoted}")), "{meta}");
 }
 
 #[test]
@@ -205,7 +267,7 @@ fn crash_truncated_segment_tail_is_dropped_not_fatal() {
     handle.join().expect("clean drain");
 
     // "kill -9 mid-write": chop a few bytes off the newest segment so
-    // its final frame is torn; the persisted index is now stale too.
+    // its final frame is torn.
     let segment = dir.join(
         segment_bytes(&dir)
             .into_keys()
@@ -216,9 +278,9 @@ fn crash_truncated_segment_tail_is_dropped_not_fatal() {
     assert!(bytes.len() > 7);
     std::fs::write(&segment, &bytes[..bytes.len() - 7]).expect("truncate tail");
 
-    // The restarted daemon must come up (index rebuilt by scan), serve
-    // the intact records byte-identically, and only re-execute the one
-    // whose frame was torn.
+    // The restarted daemon must come up, serve the intact records
+    // byte-identically, and only re-execute the one whose frame was
+    // torn.
     let handle = start(store_config(&dir));
     let mut client = connect(&handle);
     for (seed, payload) in payloads.iter().enumerate().take(4) {

@@ -11,12 +11,12 @@
 //!   compress-with-uncompressed-size-header pattern, CRC-32 checked
 //!   record frames, and a scanner that treats a crash-truncated tail
 //!   as data loss of *that tail only* — detected, dropped, never fatal.
-//! - [`Store`]: append-only segments of those frames and an in-memory
-//!   index (FNV-1a key hash → segment/offset, persisted on clean
-//!   shutdown, rebuilt by segment scan when missing or stale) giving
-//!   O(1) warm lookup of any single record without loading everything
-//!   resident. The store is append-once: a key is written at most
-//!   once, so no record is ever superseded and no byte on disk is
+//! - [`Store`]: append-only segments of those frames, which are the
+//!   whole store. Opening scans them once into an in-memory index
+//!   (FNV-1a key hash → segment/offset) giving O(1) lookup of any
+//!   single record without loading payloads resident; no index is
+//!   written to disk. The store is append-once: a key is written at
+//!   most once, so no record is ever superseded and no byte on disk is
 //!   dead.
 //! - Revision refusal: a store stamped by a different known git
 //!   revision is refused wholesale (results are byte-stable only

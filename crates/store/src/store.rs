@@ -1,11 +1,10 @@
 //! The log-structured store: append-only segments of write-once
-//! records and a persisted index.
+//! records, indexed in memory by a scan on open.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <dir>/meta.json      {"store":"bfdn-result-store","version":1,"revision":...}
-//! <dir>/index.tsv      persisted key-hash → (segment, offset) index
 //! <dir>/seg-00000000.log   append-only frames (see codec.rs)
 //! <dir>/seg-00000001.log   ...
 //! ```
@@ -15,11 +14,12 @@
 //! JSON). Writes append [`crate::codec`] frames to the *active*
 //! segment, rolling to a fresh file past a size threshold; every
 //! process lifetime starts a fresh active segment, so a crash can only
-//! ever damage one tail, and the CRC-checked scanner drops exactly
-//! that tail on the next open. Lookups go through an in-memory index
-//! (FNV-1a key hash → segment/offset) that is persisted on clean
-//! shutdown and rebuilt by scanning the segments when missing or
-//! stale — a warm open never loads payloads resident.
+//! ever damage one tail, and the CRC-checked scanner cuts exactly that
+//! tail off on the next open. The segments are the whole store:
+//! [`Store::open`] scans them once into an in-memory index (FNV-1a key
+//! hash → segment/offset), and lookups go through it without loading
+//! payloads resident. Nothing else is written, so there is no second
+//! file that could go stale.
 //!
 //! A key is written at most once: [`Store::put`] on a key that already
 //! has a live record appends nothing. Payloads are a function of their
@@ -56,7 +56,7 @@ pub fn key_hash(key: &str) -> u64 {
 /// Tuning and identity for [`Store::open`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding segments, index and meta (created if absent).
+    /// Directory holding segments and meta (created if absent).
     pub dir: PathBuf,
     /// The revision stamped into `meta.json`; `None` means unknown.
     pub revision: Option<String>,
@@ -78,17 +78,14 @@ impl StoreConfig {
 /// What [`Store::open`] found on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenReport {
-    /// Live records indexed (after tail-drop).
+    /// Live records indexed (after the tail cut).
     pub records: usize,
     /// Records refused because the store was written by another revision.
     pub refused: usize,
     /// True when the refusal path ran (the directory restarted cold).
     pub revision_mismatch: bool,
-    /// Segments whose tail was crash-truncated and dropped.
+    /// Segments whose tail was crash-truncated and cut off.
     pub truncated_segments: usize,
-    /// True when the index was absent or stale and a segment scan
-    /// rebuilt it.
-    pub index_rebuilt: bool,
 }
 
 /// A point-in-time accounting snapshot, cheap to take.
@@ -98,8 +95,8 @@ pub struct StoreStats {
     pub records: u64,
     /// Segment files.
     pub segments: u64,
-    /// Logical bytes across all segments (intact frames only; a
-    /// dropped crash tail is not counted).
+    /// Bytes across all segments (intact frames only; a crash tail is
+    /// cut off on open, or left uncounted if the cut failed).
     pub on_disk_bytes: u64,
     /// Bytes held by live frames — equal to `on_disk_bytes` in a store
     /// this crate wrote, since no record is ever superseded.
@@ -171,7 +168,6 @@ pub struct Store {
 }
 
 const META_FILE: &str = "meta.json";
-const INDEX_FILE: &str = "index.tsv";
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.log"))
@@ -217,13 +213,12 @@ fn read_meta(dir: &Path) -> Option<Option<String>> {
 impl Store {
     /// Opens (or creates) the store at `config.dir`.
     ///
-    /// A same-or-unknown-revision store warm-opens from the persisted
-    /// index when it is fresh, scanning only bytes appended after the
-    /// last [`Store::persist_index`]; a missing or stale index triggers
-    /// a full segment scan. Crash-truncated tails are dropped and
-    /// counted, never fatal. A store written by a *different known*
-    /// revision is refused: its records are counted, the directory is
-    /// cleared, and the report says so.
+    /// A same-or-unknown-revision store is opened by scanning every
+    /// segment once and indexing its intact frames; payloads are
+    /// checked but not kept resident. A crash-truncated tail is cut
+    /// off its segment and counted, never fatal. A store written by a
+    /// *different known* revision is refused: its records are counted,
+    /// the directory is cleared, and the report says so.
     ///
     /// # Errors
     ///
@@ -266,18 +261,10 @@ impl Store {
 
         let segment_ids = store.list_segment_ids()?;
         store.next_segment_id = segment_ids.iter().max().map_or(0, |max| max + 1);
-
-        let loaded = store.load_index(&segment_ids, &mut report)?;
-        if !loaded {
-            store.index.clear();
-            store.segments.clear();
-            store.live_bytes = 0;
-            store.raw_payload_bytes = 0;
-            store.stored_payload_bytes = 0;
-            for &id in &segment_ids {
-                store.scan_segment(id, 0, &mut report)?;
+        for id in segment_ids {
+            if store.scan_segment(id)? {
+                report.truncated_segments += 1;
             }
-            report.index_rebuilt = !segment_ids.is_empty();
         }
         report.records = store.index.len();
         store.truncated_segments = report.truncated_segments as u64;
@@ -428,168 +415,37 @@ impl Store {
         }
     }
 
-    /// Persists the index so the next open is a warm one (no segment
-    /// replay). Written atomically (temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/rename failures.
-    pub fn persist_index(&mut self) -> io::Result<()> {
-        if let Some((_, file)) = &mut self.active {
-            file.flush()?;
-        }
-        let mut text = String::from("bfdn-store-index v1\n");
-        for (&id, &len) in &self.segments {
-            text.push_str(&format!("seg {id} {len}\n"));
-        }
-        let mut entries: Vec<(&u64, &IndexEntry)> = self.index.iter().collect();
-        entries.sort_by_key(|(&hash, _)| hash);
-        for (hash, e) in entries {
-            text.push_str(&format!(
-                "rec {hash:016x} {} {} {} {} {}\n",
-                e.segment, e.offset, e.frame_len, e.raw_len, e.key_len
-            ));
-        }
-        text.push_str(&format!("end {}\n", self.index.len()));
-        let tmp = self.dir.join("index.tsv.tmp");
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, self.dir.join(INDEX_FILE))
-    }
-
-    /// Loads `index.tsv` if present and trustworthy, then scans any
-    /// bytes segments gained after it was written. Returns false when
-    /// the caller should rebuild from scratch instead.
-    fn load_index(&mut self, segment_ids: &[u64], report: &mut OpenReport) -> io::Result<bool> {
-        let Ok(text) = fs::read_to_string(self.dir.join(INDEX_FILE)) else {
-            return Ok(false);
-        };
-        let mut lines = text.lines();
-        if lines.next() != Some("bfdn-store-index v1") {
-            return Ok(false);
-        }
-        let mut covered: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut entries: Vec<(u64, IndexEntry)> = Vec::new();
-        let mut declared_end: Option<usize> = None;
-        for line in lines {
-            let fields: Vec<&str> = line.split_ascii_whitespace().collect();
-            match fields.as_slice() {
-                ["seg", id, len] => {
-                    let (Ok(id), Ok(len)) = (id.parse(), len.parse()) else {
-                        return Ok(false);
-                    };
-                    covered.insert(id, len);
-                }
-                ["rec", hash, segment, offset, frame_len, raw_len, key_len] => {
-                    let (
-                        Ok(hash),
-                        Ok(segment),
-                        Ok(offset),
-                        Ok(frame_len),
-                        Ok(raw_len),
-                        Ok(key_len),
-                    ) = (
-                        u64::from_str_radix(hash, 16),
-                        segment.parse(),
-                        offset.parse(),
-                        frame_len.parse(),
-                        raw_len.parse::<u32>(),
-                        key_len.parse::<u32>(),
-                    )
-                    else {
-                        return Ok(false);
-                    };
-                    // A frame is always at least overhead + key bytes;
-                    // an entry claiming otherwise is garbage.
-                    if u64::from(frame_len) < codec::FRAME_OVERHEAD as u64 + u64::from(key_len) {
-                        return Ok(false);
-                    }
-                    entries.push((
-                        hash,
-                        IndexEntry {
-                            segment,
-                            offset,
-                            frame_len,
-                            raw_len,
-                            key_len,
-                        },
-                    ));
-                }
-                ["end", count] => declared_end = count.parse().ok(),
-                _ => return Ok(false),
-            }
-        }
-        if declared_end != Some(entries.len()) {
-            return Ok(false); // torn write — rebuild
-        }
-        // The index must only reference segments that exist, and never
-        // claim more bytes than the file holds.
-        for (&id, &len) in &covered {
-            let Ok(meta) = fs::metadata(segment_path(&self.dir, id)) else {
-                return Ok(false);
-            };
-            if meta.len() < len {
-                return Ok(false);
-            }
-        }
-        for (_, e) in &entries {
-            if covered.get(&e.segment).copied().unwrap_or(0) < e.offset + u64::from(e.frame_len) {
-                return Ok(false);
-            }
-        }
-
-        self.segments = covered;
-        for (hash, entry) in entries {
-            self.index_entry(hash, entry);
-        }
-        // Pick up frames appended after the index was persisted, and
-        // whole segments it never saw.
-        for &id in segment_ids {
-            let from = self.segments.get(&id).copied().unwrap_or(0);
-            self.scan_segment(id, from, report)?;
-        }
-        Ok(true)
-    }
-
-    /// Scans one segment from byte `from`, indexing every intact frame;
-    /// a decode failure marks the crash-truncated tail and stops.
-    fn scan_segment(&mut self, id: u64, from: u64, report: &mut OpenReport) -> io::Result<()> {
+    /// Indexes every intact frame of one segment and returns whether a
+    /// torn tail followed them. The tail is cut off the file, so it is
+    /// dropped and counted in one process lifetime only; bytes past the
+    /// first bad frame are unreachable by any scan, so the cut loses
+    /// nothing servable. If the cut fails the tail is only skipped, and
+    /// the next open skips it again.
+    fn scan_segment(&mut self, id: u64) -> io::Result<bool> {
         let path = segment_path(&self.dir, id);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
             Err(e) => return Err(e),
         };
-        let mut at = from as usize;
-        if at > bytes.len() {
-            at = bytes.len();
+        let (len, torn) = walk_frames(&bytes, |record, offset, frame_len| {
+            let entry = IndexEntry {
+                segment: id,
+                offset,
+                frame_len,
+                raw_len: record.raw_len,
+                key_len: record.key.len() as u32,
+            };
+            self.index_entry(key_hash(&record.key), entry);
+        });
+        if torn {
+            let _ = OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|file| file.set_len(len));
         }
-        let mut len = at as u64;
-        loop {
-            match codec::scan_frame(&bytes, at) {
-                Ok(None) => break,
-                Ok(Some((record, frame_len))) => {
-                    let entry = IndexEntry {
-                        segment: id,
-                        offset: at as u64,
-                        frame_len: frame_len as u32,
-                        raw_len: record.raw_len,
-                        key_len: record.key.len() as u32,
-                    };
-                    self.index_entry(key_hash(&record.key), entry);
-                    at += frame_len;
-                    len = at as u64;
-                }
-                Err(_) => {
-                    report.truncated_segments += 1;
-                    break;
-                }
-            }
-        }
-        // `len` excludes any truncated tail: future appends go to new
-        // segments, and a future warm open rescans only past `len`,
-        // hitting the same tolerated tail.
         self.segments.insert(id, len);
-        Ok(())
+        Ok(torn)
     }
 
     fn list_segment_ids(&self) -> io::Result<Vec<u64>> {
@@ -617,13 +473,8 @@ impl Store {
         };
         let mut count = 0;
         for id in ids {
-            let Ok(bytes) = fs::read(segment_path(&self.dir, id)) else {
-                continue;
-            };
-            let mut at = 0;
-            while let Ok(Some((_, frame_len))) = codec::scan_frame(&bytes, at) {
-                count += 1;
-                at += frame_len;
+            if let Ok(bytes) = fs::read(segment_path(&self.dir, id)) {
+                walk_frames(&bytes, |_, _, _| count += 1);
             }
         }
         count
@@ -635,8 +486,24 @@ impl Store {
                 let _ = fs::remove_file(segment_path(&self.dir, id));
             }
         }
-        let _ = fs::remove_file(self.dir.join(INDEX_FILE));
         Ok(())
+    }
+}
+
+/// Walks the intact frames at the start of a segment's bytes, handing
+/// each record, its offset and its frame length to `each`. Returns the
+/// bytes those frames cover and whether a torn tail follows them.
+fn walk_frames(bytes: &[u8], mut each: impl FnMut(Record, u64, u32)) -> (u64, bool) {
+    let mut at = 0;
+    loop {
+        match codec::scan_frame(bytes, at) {
+            Ok(None) => return (at as u64, false),
+            Ok(Some((record, frame_len))) => {
+                each(record, at as u64, frame_len as u32);
+                at += frame_len;
+            }
+            Err(_) => return (at as u64, true),
+        }
     }
 }
 
@@ -662,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn put_get_survives_reopen_via_persisted_index() {
+    fn put_get_survives_reopen_by_scan() {
         let dir = fresh_dir("reopen");
         let (mut store, report) = Store::open(config(&dir)).unwrap();
         assert_eq!(report, OpenReport::default());
@@ -670,13 +537,26 @@ mod tests {
             store.put(&format!("key-{i}"), &payload(i)).unwrap();
         }
         assert_eq!(store.len(), 50);
-        store.persist_index().unwrap();
+        let stats = store.stats();
         drop(store);
 
         let (store, report) = Store::open(config(&dir)).unwrap();
-        assert_eq!(report.records, 50);
-        assert!(!report.index_rebuilt, "persisted index should warm-open");
-        assert_eq!(report.truncated_segments, 0);
+        let expected = OpenReport {
+            records: 50,
+            ..OpenReport::default()
+        };
+        assert_eq!(report, expected);
+        assert_eq!(store.stats(), stats, "the scan rebuilds identical stats");
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(
+            names
+                .iter()
+                .all(|n| n == META_FILE || n.starts_with("seg-")),
+            "the segments and meta are the whole store: {names:?}"
+        );
         for i in 0..50 {
             assert_eq!(
                 store.get(&format!("key-{i}")).unwrap().as_deref(),
@@ -688,51 +568,37 @@ mod tests {
     }
 
     #[test]
-    fn missing_index_is_rebuilt_by_segment_scan() {
-        let dir = fresh_dir("rebuild");
-        let (mut store, _) = Store::open(config(&dir)).unwrap();
-        for i in 0..20 {
-            store.put(&format!("key-{i}"), &payload(i)).unwrap();
-        }
-        store.persist_index().unwrap();
-        drop(store);
-        fs::remove_file(dir.join(INDEX_FILE)).unwrap();
-
-        let (store, report) = Store::open(config(&dir)).unwrap();
-        assert!(report.index_rebuilt);
-        assert_eq!(report.records, 20);
-        for i in 0..20 {
-            assert_eq!(
-                store.get(&format!("key-{i}")).unwrap(),
-                Some(payload(i)),
-                "key-{i}"
-            );
-        }
-    }
-
-    #[test]
     fn crash_truncated_tail_is_dropped_not_fatal() {
         let dir = fresh_dir("truncated");
         let (mut store, _) = Store::open(config(&dir)).unwrap();
         for i in 0..10 {
             store.put(&format!("key-{i}"), &payload(i)).unwrap();
         }
-        drop(store); // no persist_index — simulates the crash
+        drop(store);
 
         // Chop the active segment mid-frame, the way SIGKILL mid-write
         // leaves it.
         let seg = segment_path(&dir, 0);
         let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() - 11]).unwrap();
+        fs::write(&seg, &bytes[..bytes.len() - 10]).unwrap();
 
-        let (store, report) = Store::open(config(&dir)).unwrap();
-        assert_eq!(report.truncated_segments, 1);
-        assert!(report.index_rebuilt);
-        assert_eq!(report.records, 9, "all intact frames survive");
-        for i in 0..9 {
-            assert_eq!(store.get(&format!("key-{i}")).unwrap(), Some(payload(i)));
+        // The first open cuts the torn tail off the file, so it is
+        // dropped and counted once, not on every open.
+        for truncated in [1, 0, 0] {
+            let (store, report) = Store::open(config(&dir)).unwrap();
+            assert_eq!(report.truncated_segments, truncated);
+            assert_eq!(store.stats().truncated_segments, truncated as u64);
+            assert_eq!(report.records, 9, "all intact frames survive");
+            assert_eq!(
+                fs::metadata(&seg).unwrap().len(),
+                store.on_disk_bytes(),
+                "the torn bytes left the disk"
+            );
+            for i in 0..9 {
+                assert_eq!(store.get(&format!("key-{i}")).unwrap(), Some(payload(i)));
+            }
+            assert_eq!(store.get("key-9").unwrap(), None, "the torn frame is gone");
         }
-        assert_eq!(store.get("key-9").unwrap(), None, "the torn frame is gone");
     }
 
     #[test]
@@ -758,7 +624,6 @@ mod tests {
         for i in 0..5 {
             store.put(&format!("key-{i}"), &payload(i)).unwrap();
         }
-        store.persist_index().unwrap();
         drop(store);
 
         let mut other = StoreConfig::new(&dir);
@@ -785,7 +650,6 @@ mod tests {
         headerless.revision = None;
         let (mut store, _) = Store::open(headerless).unwrap();
         store.put("key", &payload(0)).unwrap();
-        store.persist_index().unwrap();
         drop(store);
 
         // Known current revision against a null-revision store: accept.
@@ -845,27 +709,5 @@ mod tests {
             stats.compression_ratio() > 2.0,
             "repetitive JSON should at least halve: {stats:?}"
         );
-    }
-
-    #[test]
-    fn stale_index_covering_more_than_the_file_is_rebuilt() {
-        let dir = fresh_dir("stale-index");
-        let (mut store, _) = Store::open(config(&dir)).unwrap();
-        for i in 0..6 {
-            store.put(&format!("key-{i}"), &payload(i)).unwrap();
-        }
-        store.persist_index().unwrap();
-        drop(store);
-        // Shrink the segment behind the index's back.
-        let seg = segment_path(&dir, 0);
-        let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
-
-        let (store, report) = Store::open(config(&dir)).unwrap();
-        assert!(report.index_rebuilt, "stale index must not be trusted");
-        assert!(report.records < 6);
-        for i in 0..report.records {
-            assert_eq!(store.get(&format!("key-{i}")).unwrap(), Some(payload(i)));
-        }
     }
 }
