@@ -3,10 +3,7 @@
 //! line. Hand-rolled flag parsing — the workspace deliberately carries
 //! no CLI dependency.
 
-use bfdn_obs::{
-    BoundConfig, BoundTracker, Event, EventSink, JsonlSink, LogLevel, Phases, RunManifest,
-    StderrLog,
-};
+use bfdn_obs::{Event, EventSink, JsonlSink, LogLevel, Phases, StderrLog};
 use bfdn_sim::{Explorer, Outcome, Simulator};
 use bfdn_trees::generators::Family;
 use bfdn_trees::Tree;
@@ -68,12 +65,11 @@ impl Default for ExploreArgs {
 }
 
 /// The sink composition of one observed CLI run: an optional JSONL
-/// trace, live bound margins, and an optional stderr log. Held by value
-/// (not as boxed sinks) so the tracker and event counts can be read
-/// back for the manifest after the run.
+/// trace and an optional stderr log. Held by value (not as boxed sinks)
+/// so the trace's event count can be read back for the manifest after
+/// the run.
 struct CliSink {
     jsonl: Option<JsonlSink<BufWriter<File>>>,
-    tracker: BoundTracker,
     log: StderrLog,
 }
 
@@ -82,7 +78,6 @@ impl EventSink for CliSink {
         if let Some(jsonl) = &mut self.jsonl {
             jsonl.emit(event);
         }
-        self.tracker.emit(event);
         self.log.emit(event);
     }
 
@@ -226,16 +221,6 @@ impl ExploreArgs {
         };
         let sink = CliSink {
             jsonl,
-            tracker: BoundTracker::new(BoundConfig {
-                rounds: Some(bfdn::theorem1_bound(
-                    tree.len(),
-                    tree.depth(),
-                    self.k,
-                    tree.max_degree(),
-                )),
-                reanchors_per_depth: Some(bfdn::lemma2_bound(self.k, tree.max_degree())),
-                urn_steps: None,
-            }),
             log: StderrLog::new(self.log),
         };
         let mut sim = Simulator::new(&tree, self.k).with_sink(sink);
@@ -259,9 +244,20 @@ impl ExploreArgs {
             }
             None => 0,
         };
+        let (mut manifest, margins) = bfdn_service::exec::run_manifest(
+            &self.algo,
+            self.family.name(),
+            self.seed,
+            &tree,
+            self.k,
+            &outcome,
+            explorer.reanchors_by_depth(),
+        );
         let mut report = self.report(&tree, &outcome);
         if let Some(path) = &self.manifest_out {
-            let manifest = self.manifest(&tree, &outcome, &phases, &sink.tracker, events_emitted);
+            manifest.set_phases(&phases);
+            manifest.events_emitted = events_emitted;
+            manifest.trace_path = self.trace_out.clone();
             manifest
                 .write(path)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -273,7 +269,7 @@ impl ExploreArgs {
                 path.display()
             ));
         }
-        if !sink.tracker.all_non_negative() {
+        if margins.is_some_and(|m| m.theorem1_rounds < 0.0 || m.lemma2_reanchors < 0.0) {
             report.push_str("WARNING: a bound margin went negative during the run\n");
         }
         Ok(report)
@@ -285,44 +281,6 @@ impl ExploreArgs {
             sim = sim.record_trace();
         }
         sim.run(explorer).map_err(|e| e.to_string())
-    }
-
-    /// The run manifest of an observed invocation: instance parameters,
-    /// git revision, phase wall-clock, final counters and final margins.
-    fn manifest(
-        &self,
-        tree: &Tree,
-        outcome: &Outcome,
-        phases: &Phases,
-        tracker: &BoundTracker,
-        events_emitted: u64,
-    ) -> RunManifest {
-        let mut m = RunManifest::new(&self.algo, self.family.name());
-        m.seed = self.seed;
-        m.n = tree.len() as u64;
-        m.depth = tree.depth() as u64;
-        m.max_degree = tree.max_degree() as u64;
-        m.k = self.k as u64;
-        m.set_phases(phases);
-        m.metric("rounds", outcome.rounds)
-            .metric("moves", outcome.metrics.moves)
-            .metric("idle", outcome.metrics.idle)
-            .metric("stalled", outcome.metrics.stalled)
-            .metric("allowed_moves", outcome.metrics.allowed_moves)
-            .metric("edges_discovered", outcome.metrics.edges_discovered)
-            .metric("edge_events", outcome.metrics.edge_events);
-        if let Some(sample) = tracker.current() {
-            if let Some(v) = sample.rounds {
-                m.margin("theorem1_rounds", v);
-            }
-            if let Some(v) = sample.reanchors {
-                m.margin("lemma2_reanchors", v);
-            }
-        }
-        m.reanchors_by_depth = tracker.reanchors_by_depth().to_vec();
-        m.events_emitted = events_emitted;
-        m.trace_path = self.trace_out.clone();
-        m
     }
 
     fn report(&self, tree: &Tree, outcome: &Outcome) -> String {

@@ -4,6 +4,8 @@
 //! they must therefore be transcribed exactly (natural logarithms, the
 //! `+3` constants, etc.).
 
+use bfdn_trees::Tree;
+
 /// Theorem 1: BFDN explores any tree with `n` nodes, depth `D` and
 /// maximum degree `Δ` using `k` robots within
 /// `2n/k + D²·(min{log Δ, log k} + 3)` rounds.
@@ -58,6 +60,54 @@ pub fn lemma2_bound(k: usize, max_degree: usize) -> f64 {
     k as f64 * (log_min(k, max_degree) + 3.0)
 }
 
+/// How much room a finished run left under Theorem 1 and Lemma 2: each
+/// field is the bound minus the measured counter, so a negative margin
+/// is a violation.
+///
+/// Rounds and per-depth reanchors only grow during a run, so the margins
+/// of the finished run are the smallest the run ever had — computing
+/// them once at the end certifies every round.
+///
+/// # Example
+///
+/// ```
+/// use bfdn::{lemma2_bound, theorem1_bound, BoundMargins};
+///
+/// let tree = bfdn_trees::generators::path(9);
+/// let (n, d, delta) = (tree.len(), tree.depth(), tree.max_degree());
+/// // Depth 0 (the root fallback) is not what Lemma 2 counts.
+/// let m = BoundMargins::of(&tree, 2, 12, &[5, 3, 4]).unwrap();
+/// assert_eq!(m.theorem1_rounds, theorem1_bound(n, d, 2, delta) - 12.0);
+/// assert_eq!(m.lemma2_reanchors, lemma2_bound(2, delta) - 4.0);
+/// assert!(BoundMargins::of(&tree, 2, 0, &[]).is_none());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BoundMargins {
+    /// [`theorem1_bound`] minus the rounds the run took.
+    pub theorem1_rounds: f64,
+    /// [`lemma2_bound`] minus the most reanchors at any depth `d ≥ 1`
+    /// (minus zero when no such depth was re-anchored).
+    pub lemma2_reanchors: f64,
+}
+
+impl BoundMargins {
+    /// The margins of a run of `k` robots on `tree` that took `rounds`
+    /// rounds and re-anchored `reanchors_by_depth[d]` times at depth `d`,
+    /// or `None` for a run that took no round and so has nothing to
+    /// measure.
+    pub fn of(tree: &Tree, k: usize, rounds: u64, reanchors_by_depth: &[u64]) -> Option<Self> {
+        if rounds == 0 {
+            return None;
+        }
+        let worst_depth = reanchors_by_depth.iter().skip(1).copied().max();
+        Some(BoundMargins {
+            theorem1_rounds: theorem1_bound(tree.len(), tree.depth(), k, tree.max_degree())
+                - rounds as f64,
+            lemma2_reanchors: lemma2_bound(k, tree.max_degree()) - worst_depth.unwrap_or(0) as f64,
+        })
+    }
+}
+
 /// The offline lower bound `max{2n/k, 2D}` on traversing all edges and
 /// returning (Section 1).
 pub fn offline_lower_bound(n: usize, depth: usize, k: usize) -> f64 {
@@ -72,6 +122,40 @@ fn log_min(k: usize, max_degree: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfdn_trees::generators;
+
+    #[test]
+    fn rounds_margin_decreases_by_one_per_round() {
+        let tree = generators::comb(6, 5);
+        let bound = theorem1_bound(tree.len(), tree.depth(), 4, tree.max_degree());
+        for r in 1..=4 {
+            let margin = BoundMargins::of(&tree, 4, r, &[]).unwrap().theorem1_rounds;
+            assert_eq!(margin, bound - r as f64);
+        }
+    }
+
+    #[test]
+    fn reanchor_margin_tracks_worst_depth() {
+        let tree = generators::comb(6, 5);
+        let bound = lemma2_bound(4, tree.max_degree());
+        let margin = |by_depth: &[u64]| {
+            BoundMargins::of(&tree, 4, 1, by_depth)
+                .unwrap()
+                .lemma2_reanchors
+        };
+        // Depth 0 (the root fallback) is excluded; the worst counted
+        // depth is 2 with two reanchors.
+        assert_eq!(margin(&[9, 1, 2]), bound - 2.0);
+        assert_eq!(margin(&[9]), bound);
+        assert_eq!(margin(&[]), bound);
+    }
+
+    #[test]
+    fn zero_round_runs_have_no_margins() {
+        let tree = generators::path(0);
+        assert_eq!(BoundMargins::of(&tree, 4, 0, &[]), None);
+        assert!(BoundMargins::of(&tree, 4, 1, &[]).is_some());
+    }
 
     #[test]
     fn theorem1_uses_smaller_log() {

@@ -487,6 +487,10 @@ impl Explorer for Bfdn {
         }
     }
 
+    fn reanchors_by_depth(&self) -> &[u64] {
+        &self.reanchors_by_depth
+    }
+
     fn name(&self) -> &str {
         match (self.respect_allowed, self.shortcut) {
             (true, _) => "bfdn-robust",

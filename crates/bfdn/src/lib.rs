@@ -46,7 +46,7 @@ mod write_read;
 
 pub use bounds::{
     lemma2_bound, offline_lower_bound, proposition7_bound, proposition9_bound, theorem10_bound,
-    theorem1_bound,
+    theorem1_bound, BoundMargins,
 };
 pub use complete::{Bfdn, BfdnBuilder, ReanchorRule, SelectionOrder};
 pub use graph::{GraphBfdn, GraphError, GraphOutcome};

@@ -5,10 +5,9 @@ use std::fmt;
 
 /// One observable occurrence inside an instrumented run.
 ///
-/// Node, robot and urn identifiers are plain integers (the dense indices
-/// of `bfdn-trees`' `NodeId` and the simulator's robot slots) so this
-/// crate stays dependency-free and the urn game — which has no tree —
-/// can share the vocabulary.
+/// Node and robot identifiers are plain integers (the dense indices of
+/// `bfdn-trees`' `NodeId` and the simulator's robot slots) so this crate
+/// stays dependency-free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Event {
@@ -56,16 +55,6 @@ pub enum Event {
         /// Dense node index of where it stood.
         at: u32,
     },
-    /// One step of the balls-in-urns game (Section 3): the adversary
-    /// picked a ball from `from`, the player moved it to `to`.
-    UrnStep {
-        /// Step number (0-based).
-        step: u64,
-        /// The urn the adversary drained.
-        from: u32,
-        /// The urn the player refilled.
-        to: u32,
-    },
     /// A named phase of a harness run finished (workload generation, the
     /// exploration itself, table rendering, …).
     PhaseTimer {
@@ -85,7 +74,6 @@ impl Event {
             Event::Reanchor { .. } => "reanchor",
             Event::EdgeDiscovered { .. } => "edge_discovered",
             Event::RobotStalled { .. } => "robot_stalled",
-            Event::UrnStep { .. } => "urn_step",
             Event::PhaseTimer { .. } => "phase_timer",
         }
     }
@@ -134,11 +122,6 @@ impl Event {
                     .u64("robot", robot.into())
                     .u64("at", at.into());
             }
-            Event::UrnStep { step, from, to } => {
-                o.u64("step", step)
-                    .u64("from", from.into())
-                    .u64("to", to.into());
-            }
             Event::PhaseTimer { phase, nanos } => {
                 o.str("phase", phase).u64("nanos", nanos);
             }
@@ -177,9 +160,6 @@ impl fmt::Display for Event {
             Event::RobotStalled { round, robot, at } => {
                 write!(f, "round {round}: robot {robot} stalled at n{at}")
             }
-            Event::UrnStep { step, from, to } => {
-                write!(f, "urn step {step}: ball moved {from} -> {to}")
-            }
             Event::PhaseTimer { phase, nanos } => {
                 write!(f, "phase {phase} took {:.3}ms", nanos as f64 / 1e6)
             }
@@ -216,11 +196,6 @@ mod tests {
                 round: 9,
                 robot: 7,
                 at: 3,
-            },
-            Event::UrnStep {
-                step: 0,
-                from: 1,
-                to: 2,
             },
             Event::PhaseTimer {
                 phase: "explore",

@@ -2,18 +2,15 @@
 //!
 //! The workspace reproduces *quantitative* claims — Theorem 1's
 //! `2n/k + D²(min{log Δ, log k}+3)` round count, Lemma 2's per-depth
-//! reanchor cap, Theorem 3's urn-game step bound — and this crate makes
-//! the quantities behind those bounds observable while a run is in
-//! flight. Instrumented components (the simulator round loop, BFDN's
-//! `Reanchor` procedure, the urn-game step loop, the bench harness)
-//! emit typed [`Event`]s into an [`EventSink`]:
+//! reanchor cap — and this crate makes the quantities behind those
+//! bounds observable while a run is in flight. Instrumented components
+//! (the simulator round loop, BFDN's `Reanchor` procedure, the bench
+//! harness) emit typed [`Event`]s into an [`EventSink`]:
 //!
 //! - [`NullSink`] — the zero-cost default: the simulator is generic over
 //!   its sink, so an unobserved run monomorphizes to the uninstrumented
 //!   hot path.
 //! - [`JsonlSink`] — streams one JSON object per event to any writer.
-//! - [`BoundTracker`] — computes live margins against the paper's bounds
-//!   every round and keeps the time series.
 //! - [`MemorySink`], [`StderrLog`] — test and logging helpers.
 //!
 //! Long-lived processes (the `bfdn-serve` daemon) aggregate across many
@@ -27,7 +24,10 @@
 //! A finished run is summarized by a [`RunManifest`] (algorithm,
 //! workload, seed, `n`, `D`, `Δ`, `k`, git revision, per-phase
 //! wall-clock from [`Phases`], final metrics, final margins) serialized
-//! as a single JSON document next to the experiment CSVs.
+//! as a single JSON document next to the experiment CSVs. The margins
+//! are computed once from the finished run's counters (rounds and
+//! per-depth reanchors only grow, so the final margin is the worst);
+//! no sink follows them round by round.
 //!
 //! The crate is dependency-free (std only); JSON is hand-rolled in
 //! [`json`] because the workspace deliberately carries no format
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bound;
 mod event;
 pub mod exposition;
 pub mod json;
@@ -57,7 +56,6 @@ mod phase;
 mod sink;
 pub mod tracing;
 
-pub use bound::{BoundConfig, BoundTracker, MarginSample};
 pub use event::Event;
 pub use manifest::{git_revision, RunManifest};
 pub use metrics::{register_build_info, Counter, Gauge, Histogram, Registry};

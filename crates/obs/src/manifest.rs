@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 ///
 /// Written next to the experiment CSVs (`--manifest-out`) as a single
 /// JSON object; the numeric fields mirror the `Metrics` counters and
-/// the [`BoundTracker`](crate::BoundTracker) totals so a manifest can
-/// be cross-checked against its JSONL trace.
+/// the explorer's per-depth reanchor counts, so a manifest can be
+/// cross-checked against its JSONL trace.
 ///
 /// # Example
 ///

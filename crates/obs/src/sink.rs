@@ -28,6 +28,24 @@ pub trait EventSink {
     fn flush(&mut self) {}
 }
 
+/// A borrowed sink is a sink: a caller can lend its sink to a generic
+/// consumer (a simulator, say) and keep it.
+impl<S: EventSink + ?Sized> EventSink for &mut S {
+    #[inline]
+    fn emit(&mut self, event: &Event) {
+        (**self).emit(event);
+    }
+
+    #[inline]
+    fn enabled(&self) -> bool {
+        (**self).enabled()
+    }
+
+    fn flush(&mut self) {
+        (**self).flush();
+    }
+}
+
 /// The zero-cost default sink: observes nothing.
 ///
 /// [`Simulator`](../bfdn_sim/struct.Simulator.html)s are generic over
@@ -167,7 +185,7 @@ pub enum LogLevel {
     Info,
     /// Plus reanchorings and stalls.
     Debug,
-    /// Plus every round, edge discovery and urn step.
+    /// Plus every round and edge discovery.
     Trace,
 }
 
@@ -180,9 +198,7 @@ impl LogLevel {
         match event {
             Event::PhaseTimer { .. } => LogLevel::Info,
             Event::Reanchor { .. } | Event::RobotStalled { .. } => LogLevel::Debug,
-            Event::RoundCompleted { .. } | Event::EdgeDiscovered { .. } | Event::UrnStep { .. } => {
-                LogLevel::Trace
-            }
+            Event::RoundCompleted { .. } | Event::EdgeDiscovered { .. } => LogLevel::Trace,
         }
     }
 }
@@ -240,10 +256,11 @@ mod tests {
                 depth: 1,
                 anchor: 2,
             },
-            Event::UrnStep {
-                step: 0,
-                from: 0,
-                to: 1,
+            Event::RoundCompleted {
+                round: 0,
+                explored: 2,
+                moved: 1,
+                stalled: 0,
             },
             Event::PhaseTimer {
                 phase: "t",
@@ -261,13 +278,26 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_sinks_forward_to_their_owner() {
+        fn lend<S: EventSink>(mut sink: S) -> bool {
+            sink.emit(&sample()[0]);
+            sink.enabled()
+        }
+        let mut mem = MemorySink::default();
+        assert!(lend(&mut mem));
+        assert_eq!(mem.events(), &sample()[..1]);
+        let dynamic: &mut dyn EventSink = &mut NullSink;
+        assert!(!lend(dynamic));
+    }
+
+    #[test]
     fn memory_sink_records_in_order() {
         let mut s = MemorySink::default();
         for e in sample() {
             s.emit(&e);
         }
         assert_eq!(s.events().len(), 3);
-        assert_eq!(s.count(|e| matches!(e, Event::UrnStep { .. })), 1);
+        assert_eq!(s.count(|e| matches!(e, Event::RoundCompleted { .. })), 1);
         assert_eq!(s.events()[0].tag(), "reanchor");
     }
 

@@ -10,11 +10,12 @@
 //! payload.
 
 use crate::protocol::{ExploreResult, ExploreSpec, MetricsPayload, WireError};
-use bfdn::{Bfdn, BfdnL, WriteReadBfdn};
+use bfdn::{Bfdn, BfdnL, BoundMargins, WriteReadBfdn};
 use bfdn_baselines::{Cte, OnlineDfs};
-use bfdn_obs::{BoundConfig, BoundTracker, Event, EventSink, NullSink, Phases, RunManifest};
-use bfdn_sim::{Explorer, Simulator};
+use bfdn_obs::{EventSink, NullSink, Phases, RunManifest};
+use bfdn_sim::{Explorer, Outcome, Simulator};
 use bfdn_trees::generators::Family;
+use bfdn_trees::Tree;
 use rand::SeedableRng;
 
 /// The accepted algorithm names, shared with the bench CLI.
@@ -99,49 +100,29 @@ pub fn validate(spec: &ExploreSpec) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Forwards every simulator event to the [`BoundTracker`] *and* an
-/// external observer, so one run can feed the margin checks and a
-/// request's span tree at the same time.
-struct Tee<'a> {
-    tracker: BoundTracker,
-    observer: &'a mut dyn EventSink,
-}
-
-impl EventSink for Tee<'_> {
-    fn emit(&mut self, event: &Event) {
-        self.tracker.emit(event);
-        self.observer.emit(event);
-    }
-
-    fn enabled(&self) -> bool {
-        // The tracker always listens (it is what checks the bounds), so
-        // the tee is enabled regardless of the observer.
-        true
-    }
-}
-
 /// Runs one validated spec to completion.
 ///
-/// The run is observed end-to-end: a [`BoundTracker`] follows the
-/// Theorem 1 / Lemma 2 margins live, and the returned [`RunManifest`]
-/// records instance shape, counters, final margins and per-depth
-/// reanchors — what the CLI writes for `--manifest-out`, minus the
-/// wall-clock phases. Leaving the clock out keeps the manifest, and so
-/// the `manifest: true` payload, a function of the spec; the phase
-/// timings reach [`run_spec_observed`]'s observer instead.
+/// The simulator runs on the compiled-out [`NullSink`]: no per-round
+/// event is built and no round clock is read. The returned
+/// [`RunManifest`] ([`run_manifest`]) records instance shape, counters,
+/// the final Theorem 1 / Lemma 2 margins and per-depth reanchors — what
+/// the CLI writes for `--manifest-out`, minus the wall-clock phases.
+/// Leaving the clock out keeps the manifest, and so the
+/// `manifest: true` payload, a function of the spec; the phase timings
+/// reach [`run_spec_observed`]'s observer instead.
 ///
 /// # Errors
 ///
 /// Returns a `bad_request` error from [`validate`], or an `internal`
 /// error if the simulation itself fails (round limit, invalid move).
 pub fn run_spec(spec: &ExploreSpec) -> Result<(ExploreResult, RunManifest), WireError> {
-    run_spec_observed(spec, &mut NullSink)
+    execute(spec, NullSink).map(|(result, manifest, _)| (result, manifest))
 }
 
 /// [`run_spec`] with an external observer: every simulator event is
-/// forwarded to `observer` alongside the bound tracker, and the
-/// per-phase wall clocks (`build_tree`, `explore`, the simulator's
-/// `sim_rounds`) are re-emitted as [`Event::PhaseTimer`]s once the run
+/// forwarded to `observer`, and the per-phase wall clocks
+/// (`build_tree`, `explore`, the simulator's `sim_rounds`) are emitted
+/// as [`Event::PhaseTimer`](bfdn_obs::Event::PhaseTimer)s once the run
 /// finishes — the server's span recorder turns them into child spans of
 /// the request's `run_spec` span.
 ///
@@ -152,6 +133,20 @@ pub fn run_spec_observed(
     spec: &ExploreSpec,
     observer: &mut dyn EventSink,
 ) -> Result<(ExploreResult, RunManifest), WireError> {
+    execute(spec, observer).map(|(result, manifest, _)| (result, manifest))
+}
+
+/// [`run_spec`] on any sink, also returning the bound margins its
+/// manifest reports (`None` for a zero-round run) — what the server
+/// folds into its margin gauges.
+///
+/// # Errors
+///
+/// See [`run_spec`].
+pub fn execute<S: EventSink>(
+    spec: &ExploreSpec,
+    sink: S,
+) -> Result<(ExploreResult, RunManifest, Option<BoundMargins>), WireError> {
     validate(spec)?;
     if spec.options.delay_ms > 0 {
         std::thread::sleep(std::time::Duration::from_millis(spec.options.delay_ms));
@@ -164,15 +159,8 @@ pub fn run_spec_observed(
         let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
         family.instance(spec.n as usize, &mut rng)
     });
-    let bound = bfdn::theorem1_bound(tree.len(), tree.depth(), k, tree.max_degree());
-    let tracker = BoundTracker::new(BoundConfig {
-        rounds: Some(bound),
-        reanchors_per_depth: Some(bfdn::lemma2_bound(k, tree.max_degree())),
-        urn_steps: None,
-    });
-
     let mut explorer = build_explorer(&spec.algorithm, k).expect("validated algorithm");
-    let mut sim = Simulator::new(&tree, k).with_sink(Tee { tracker, observer });
+    let mut sim = Simulator::new(&tree, k).with_sink(sink);
     let outcome = phases
         .time("explore", || sim.run(explorer.as_mut()))
         .map_err(|e| {
@@ -181,34 +169,18 @@ pub fn run_spec_observed(
                 format!("simulation failed: {e}"),
             )
         })?;
-    let tee = sim.into_sink();
-    let tracker = tee.tracker;
-    phases.emit(tee.observer);
+    phases.emit(&mut sim.into_sink());
 
-    let mut manifest = RunManifest::new(&spec.algorithm, &spec.family);
-    manifest.seed = spec.seed;
-    manifest.n = tree.len() as u64;
-    manifest.depth = tree.depth() as u64;
-    manifest.max_degree = tree.max_degree() as u64;
-    manifest.k = spec.k;
-    manifest
-        .metric("rounds", outcome.rounds)
-        .metric("moves", outcome.metrics.moves)
-        .metric("idle", outcome.metrics.idle)
-        .metric("stalled", outcome.metrics.stalled)
-        .metric("allowed_moves", outcome.metrics.allowed_moves)
-        .metric("edges_discovered", outcome.metrics.edges_discovered)
-        .metric("edge_events", outcome.metrics.edge_events);
-    if let Some(sample) = tracker.current() {
-        if let Some(v) = sample.rounds {
-            manifest.margin("theorem1_rounds", v);
-        }
-        if let Some(v) = sample.reanchors {
-            manifest.margin("lemma2_reanchors", v);
-        }
-    }
-    manifest.reanchors_by_depth = tracker.reanchors_by_depth().to_vec();
-
+    let (manifest, margins) = run_manifest(
+        &spec.algorithm,
+        &spec.family,
+        spec.seed,
+        &tree,
+        k,
+        &outcome,
+        explorer.reanchors_by_depth(),
+    );
+    let bound = bfdn::theorem1_bound(tree.len(), tree.depth(), k, tree.max_degree());
     let result = ExploreResult {
         spec: spec.clone(),
         cached: false,
@@ -220,7 +192,44 @@ pub fn run_spec_observed(
         margin: bound - outcome.rounds as f64,
         manifest: spec.options.manifest.then(|| manifest.to_json()),
     };
-    Ok((result, manifest))
+    Ok((result, manifest, margins))
+}
+
+/// The manifest of a finished run, shared by served runs and the
+/// `explore` CLI: instance shape, final counters, the Theorem 1 /
+/// Lemma 2 [`BoundMargins`] (left out of a zero-round run) and the
+/// explorer's per-depth reanchors. Returns the margins alongside.
+pub fn run_manifest(
+    algorithm: &str,
+    workload: &str,
+    seed: u64,
+    tree: &Tree,
+    k: usize,
+    outcome: &Outcome,
+    reanchors_by_depth: &[u64],
+) -> (RunManifest, Option<BoundMargins>) {
+    let mut manifest = RunManifest::new(algorithm, workload);
+    manifest.seed = seed;
+    manifest.n = tree.len() as u64;
+    manifest.depth = tree.depth() as u64;
+    manifest.max_degree = tree.max_degree() as u64;
+    manifest.k = k as u64;
+    manifest
+        .metric("rounds", outcome.rounds)
+        .metric("moves", outcome.metrics.moves)
+        .metric("idle", outcome.metrics.idle)
+        .metric("stalled", outcome.metrics.stalled)
+        .metric("allowed_moves", outcome.metrics.allowed_moves)
+        .metric("edges_discovered", outcome.metrics.edges_discovered)
+        .metric("edge_events", outcome.metrics.edge_events);
+    let margins = BoundMargins::of(tree, k, outcome.rounds, reanchors_by_depth);
+    if let Some(m) = margins {
+        manifest
+            .margin("theorem1_rounds", m.theorem1_rounds)
+            .margin("lemma2_reanchors", m.lemma2_reanchors);
+    }
+    manifest.reanchors_by_depth = reanchors_by_depth.to_vec();
+    (manifest, margins)
 }
 
 #[cfg(test)]
@@ -269,6 +278,19 @@ mod tests {
     }
 
     #[test]
+    fn boxed_explorers_report_their_reanchor_counts() {
+        let tree = find_family("comb")
+            .unwrap()
+            .instance(300, &mut rand::rngs::StdRng::seed_from_u64(1));
+        let mut boxed = build_explorer("bfdn", 4).unwrap();
+        let mut concrete = Bfdn::new(4);
+        Simulator::new(&tree, 4).run(boxed.as_mut()).unwrap();
+        Simulator::new(&tree, 4).run(&mut concrete).unwrap();
+        assert!(concrete.total_reanchors() > 0);
+        assert_eq!(boxed.reanchors_by_depth(), concrete.reanchors_by_depth());
+    }
+
+    #[test]
     fn results_are_deterministic_in_the_spec() {
         let spec = ExploreSpec::new("bfdn", "random-recursive", 300, 8, 42);
         let (a, _) = run_spec(&spec).unwrap();
@@ -302,7 +324,7 @@ mod tests {
 
     #[test]
     fn observed_runs_emit_phase_timers_for_span_building() {
-        use bfdn_obs::MemorySink;
+        use bfdn_obs::{Event, MemorySink};
         let spec = ExploreSpec::new("bfdn", "comb", 60, 4, 1);
         let mut sink = MemorySink::default();
         let (observed, _) = run_spec_observed(&spec, &mut sink).unwrap();

@@ -29,6 +29,7 @@ use crate::protocol::{
 };
 use crate::telemetry::{AccessLog, AccessRecord, ServiceMetrics, SLOW_REQUEST_NS};
 use bfdn_obs::tracing::{hex16, SpanRecord, SpanRecorder, SpanSink, TraceWriter, Tracer};
+use bfdn_obs::NullSink;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -332,12 +333,9 @@ impl Shared {
     ) -> Result<ExploreResult, WireError> {
         let run_start = self.tracer.now_ns();
         let run_span = ctx.map(|c| (c, self.tracer.next_id()));
-        let (result, manifest) = match run_span {
-            Some((c, span)) => {
-                let mut phases = SpanSink::new(&self.tracer, c.trace, span);
-                exec::run_spec_observed(spec, &mut phases)?
-            }
-            None => exec::run_spec(spec)?,
+        let (result, _, margins) = match run_span {
+            Some((c, span)) => exec::execute(spec, SpanSink::new(&self.tracer, c.trace, span))?,
+            None => exec::execute(spec, NullSink)?,
         };
         if let Some((c, span)) = run_span {
             let duration = self.tracer.now_ns().saturating_sub(run_start);
@@ -347,7 +345,7 @@ impl Shared {
                     .attr_str("key", spec.canonical()),
             );
         }
-        self.telemetry.record_margins(&result, &manifest);
+        self.telemetry.record_margins(&result, margins);
         let insert_start = self.tracer.now_ns();
         self.cache.put(&result);
         if let Some(span) = self.span(ctx, "cache_insert", insert_start) {

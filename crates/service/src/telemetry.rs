@@ -10,17 +10,17 @@
 //! depth, in-flight jobs, cache occupancy) are refreshed from their
 //! sources at render time so every scrape is consistent.
 //!
-//! The bound-margin aggregation is the serving-layer continuation of
-//! `bfdn-obs`'s per-run [`bfdn_obs::BoundTracker`]: every executed spec
-//! feeds its final Theorem 1 (`2n/k + D²(min{log Δ, log k}+3)`) and
-//! Lemma 2 margins into worst-observed gauges and a violation counter,
-//! so a long-running daemon continuously re-checks the paper's
-//! guarantees across everything it has ever served.
+//! The bound-margin aggregation re-checks the paper's guarantees across
+//! everything a daemon has ever served: every executed spec feeds its
+//! final Theorem 1 (`2n/k + D²(min{log Δ, log k}+3)`) and Lemma 2
+//! margins ([`bfdn::BoundMargins`], computed once from the finished
+//! run's counters) into worst-observed gauges and a violation counter.
 
 use crate::protocol::{CacheStatsPayload, ExploreResult};
+use bfdn::BoundMargins;
 use bfdn_obs::json::JsonObject;
 use bfdn_obs::metrics::{register_build_info, DEFAULT_LATENCY_BUCKETS};
-use bfdn_obs::{Counter, Gauge, Histogram, Registry, RunManifest};
+use bfdn_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -369,20 +369,18 @@ impl ServiceMetrics {
     }
 
     /// Folds one executed run's final margins into the per-daemon
-    /// aggregates: worst-observed gauges shrink monotonically, and any
-    /// negative margin counts as a bound violation.
-    pub fn record_margins(&self, result: &ExploreResult, manifest: &RunManifest) {
+    /// aggregates: the Theorem 1 margin the result reports, and the
+    /// Lemma 2 margin of `margins` (absent for a zero-round run).
+    /// Worst-observed gauges shrink monotonically, and any negative
+    /// margin counts as a bound violation.
+    pub fn record_margins(&self, result: &ExploreResult, margins: Option<BoundMargins>) {
         self.bound_checked.inc();
         let mut violated = result.margin < 0.0;
         self.margin_theorem1.set_min(result.margin);
         self.margin_window_push(result.margin, result.bound);
-        if let Some((_, lemma2)) = manifest
-            .margins
-            .iter()
-            .find(|(name, _)| name == "lemma2_reanchors")
-        {
-            self.margin_lemma2.set_min(*lemma2);
-            violated |= *lemma2 < 0.0;
+        if let Some(m) = margins {
+            self.margin_lemma2.set_min(m.lemma2_reanchors);
+            violated |= m.lemma2_reanchors < 0.0;
         }
         if violated {
             self.bound_violations.inc();
@@ -637,10 +635,12 @@ mod tests {
     #[test]
     fn margins_aggregate_to_worst_and_count_violations() {
         let m = ServiceMetrics::new(2);
-        let mut manifest = RunManifest::new("bfdn", "comb");
-        manifest.margin("lemma2_reanchors", 5.0);
-        m.record_margins(&sample_result(12.0), &manifest);
-        m.record_margins(&sample_result(3.5), &manifest);
+        let margins = Some(BoundMargins {
+            theorem1_rounds: 12.0,
+            lemma2_reanchors: 5.0,
+        });
+        m.record_margins(&sample_result(12.0), margins);
+        m.record_margins(&sample_result(3.5), margins);
         let text = m.render(&CacheStatsPayload::default(), 0, 0);
         assert!(text.contains("bfdn_bound_checked_total 2"));
         assert!(text.contains("bfdn_bound_violations_total 0"));
@@ -649,7 +649,7 @@ mod tests {
 
         // A negative margin shrinks the gauge below zero and trips the
         // violation counter — the series CI asserts stays at zero.
-        m.record_margins(&sample_result(-1.0), &manifest);
+        m.record_margins(&sample_result(-1.0), margins);
         let text = m.render(&CacheStatsPayload::default(), 0, 0);
         assert!(text.contains("bfdn_bound_violations_total 1"));
         assert!(text.contains(r#"bfdn_bound_margin_worst{bound="theorem1_rounds"} -1"#));
@@ -834,11 +834,10 @@ mod tests {
     #[test]
     fn margin_window_worst_recovers_and_watchdog_fires_near_zero() {
         let m = ServiceMetrics::new(1);
-        let manifest = RunManifest::new("bfdn", "comb");
         // A healthy margin, then one within 5% of the bound (bound is
         // 40 + margin, so margin 1.5 < 0.05 * 41.5 fires the watchdog).
-        m.record_margins(&sample_result(12.0), &manifest);
-        m.record_margins(&sample_result(1.5), &manifest);
+        m.record_margins(&sample_result(12.0), None);
+        m.record_margins(&sample_result(1.5), None);
         let text = m.render(&CacheStatsPayload::default(), 0, 0);
         assert!(text.contains(r#"bfdn_bound_margin_window_worst{bound="theorem1_rounds"} 1.5"#));
         assert!(text.contains("bfdn_margin_watchdog_total 1"));
@@ -847,7 +846,7 @@ mod tests {
         // Push the bad sample out of the window: the windowed gauge
         // recovers while the all-time worst gauge stays pinned.
         for _ in 0..MARGIN_WINDOW {
-            m.record_margins(&sample_result(9.0), &manifest);
+            m.record_margins(&sample_result(9.0), None);
         }
         let text = m.render(&CacheStatsPayload::default(), 0, 0);
         assert!(text.contains(r#"bfdn_bound_margin_window_worst{bound="theorem1_rounds"} 9"#));

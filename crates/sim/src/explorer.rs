@@ -70,6 +70,14 @@ pub trait Explorer {
         self.select_moves(ctx, out);
     }
 
+    /// Re-anchorings so far per anchor depth (index = depth), one per
+    /// [`Event::Reanchor`](bfdn_obs::Event::Reanchor) this explorer
+    /// emits — what Lemma 2 bounds, read once a run finishes. The
+    /// default, for explorers that emit none, reports none.
+    fn reanchors_by_depth(&self) -> &[u64] {
+        &[]
+    }
+
     /// A short name for reports.
     fn name(&self) -> &str {
         "explorer"
@@ -90,6 +98,10 @@ impl<E: Explorer + ?Sized> Explorer for Box<E> {
         sink: &mut dyn EventSink,
     ) {
         (**self).select_moves_observed(ctx, out, sink);
+    }
+
+    fn reanchors_by_depth(&self) -> &[u64] {
+        (**self).reanchors_by_depth()
     }
 
     fn name(&self) -> &str {

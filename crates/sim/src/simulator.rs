@@ -182,8 +182,8 @@ impl<'t, S: EventSink> Simulator<'t, S> {
         &mut self.sink
     }
 
-    /// Consumes the simulator, returning the sink (e.g. to read a
-    /// [`BoundTracker`](bfdn_obs::BoundTracker)'s series after a run).
+    /// Consumes the simulator, returning the sink (e.g. to finish a
+    /// [`JsonlSink`](bfdn_obs::JsonlSink) after a run).
     pub fn into_sink(self) -> S {
         self.sink
     }

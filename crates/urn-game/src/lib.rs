@@ -48,7 +48,7 @@ mod player;
 pub use adversary::{Adversary, DrainAdversary, GreedyAdversary, RandomAdversary};
 pub use board::Board;
 pub use dp::GameValue;
-pub use game::{play, play_observed, GameRecord, UrnGame};
+pub use game::{play, GameRecord, UrnGame};
 pub use player::{LeastLoadedPlayer, MostLoadedPlayer, Player, RandomPlayer, RoundRobinPlayer};
 
 /// The Theorem 3 upper bound `k·min{log Δ, log k} + 2k` on the number of
